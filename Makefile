@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant bench bench-ingress bench-tenant fuzz experiments examples verilog clean
+.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant bench fuzz experiments examples verilog clean
 
 all: check
 
@@ -60,12 +60,11 @@ test-faults:
 
 # The sharded traffic plane under the race detector (dispatch, admission
 # control, failover, packet conservation, the lock-free ingress ring),
-# plus the perf gates run without instrumentation so their numbers are
-# undistorted: TestShardScalingGate (>= 1.6x simulated aggregate at 4
-# shards vs 1) and TestIngressFastGate (>= 2x ring vs mutex hand-off).
+# plus TestShardScalingGate without it (>= 1.6x simulated aggregate at 4
+# shards vs 1, in virtual time).
 test-shard:
 	$(GO) test -race ./internal/shard/...
-	$(GO) test -run 'ShardScalingGate|IngressFastGate' -count=1 ./internal/shard/
+	$(GO) test -run 'ShardScalingGate' -count=1 ./internal/shard/
 
 # The graded threat-response engine under the race detector: EWMA/FSM
 # edge cases, deterministic campaign replay (byte-identical incident
@@ -102,20 +101,11 @@ test-tenant:
 	$(GO) test -race -run 'Tenant|Domain|Instance' -count=1 ./internal/npu/... ./internal/shard/... ./internal/campaign/...
 	$(GO) run ./cmd/npsim -tenant > /dev/null
 
+# The benchmark of the monitored plane: every workload end to end and
+# layer by layer (see bench/README.md). `go run ./cmd/npsim -bench`
+# regenerates the virtual-time model series in BENCH_npu.json.
 bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Re-measure only the ingress hand-off series (lock-free ring vs the
-# mutex-queue baseline at 1/4/16 submitters), merging the points into the
-# existing BENCH_npu.json and recomputing the ingress_fast ratios.
-bench-ingress:
-	$(GO) run ./cmd/npsim -benchingress
-
-# Re-measure only the tenant_isolation series (per-tenant pkts/sec at
-# 1/2/4 tenants on a partitioned plane), merging the points into the
-# existing BENCH_npu.json and recomputing the min_vs_baseline ratios.
-bench-tenant:
-	$(GO) run ./cmd/npsim -benchtenant
+	bash bench/run.sh -workload all -seed 1
 
 # Brief fuzzing pass over the attacker-facing parsers and the data plane.
 fuzz:

@@ -8,7 +8,6 @@ package sdmmon
 
 import (
 	crand "crypto/rand"
-	"fmt"
 	mrand "math/rand"
 	"testing"
 
@@ -20,7 +19,6 @@ import (
 	"sdmmon/internal/netlist"
 	"sdmmon/internal/network"
 	"sdmmon/internal/npu"
-	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
 	"sdmmon/internal/seccrypto"
 	"sdmmon/internal/techmap"
@@ -297,87 +295,6 @@ func BenchmarkParallelForwarding(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(batch)), "pkts/batch")
-}
-
-// --- NP throughput sweep (BENCH_npu.json) --------------------------------------
-
-// npThroughputReport collects every BenchmarkNPThroughput sub-benchmark and
-// rewrites BENCH_npu.json as they complete, so a partial -bench run still
-// leaves a valid baseline on disk. Shared schema with `npsim -bench`.
-var npThroughputReport = npu.NewBenchReport("ipv4cm", "BenchmarkNPThroughput")
-
-// BenchmarkNPThroughput sweeps core counts and batch sizes over the
-// allocation-free fast path and the pre-optimization reference path
-// (Config.Reference), reporting wall-clock packets/sec and emitting the
-// machine-readable BENCH_npu.json perf baseline.
-func BenchmarkNPThroughput(b *testing.B) {
-	paths := []struct {
-		name      string
-		reference bool
-	}{{"fast", false}, {"reference", true}}
-	for _, path := range paths {
-		for _, cores := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{64, 256} {
-				name := fmt.Sprintf("%s/cores=%d/batch=%d", path.name, cores, batch)
-				path, cores, batch := path, cores, batch
-				b.Run(name, func(b *testing.B) {
-					benchNPThroughputPoint(b, path.name, cores, batch, path.reference, nil)
-				})
-			}
-		}
-	}
-	// Instrumented delta: the fast-path shapes `npsim -bench` also measures,
-	// re-run with a live telemetry collector (counters, per-core cycle
-	// histograms, event rings). Write() pairs them with the bare points above
-	// into OverheadInstrumented.
-	for _, cores := range []int{4, 8} {
-		cores := cores
-		name := fmt.Sprintf("fast/cores=%d/batch=256/instrumented", cores)
-		b.Run(name, func(b *testing.B) {
-			benchNPThroughputPoint(b, "fast", cores, 256, false, obs.New(obs.DefaultRingDepth))
-		})
-	}
-}
-
-func benchNPThroughputPoint(b *testing.B, pathName string, cores, batch int, reference bool, col *obs.Collector) {
-	np, err := npu.NewBenchNPWith("ipv4cm", cores, reference, 11, col)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts := npu.BenchPackets(batch, 12, 1)
-	// Warm-up: hash caches, output buffers, batch arena.
-	if _, err := np.ProcessBatch(pkts, 0); err != nil {
-		b.Fatal(err)
-	}
-	before := np.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := np.ProcessBatch(pkts, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	after := np.Stats()
-	wall := b.Elapsed().Seconds()
-	processed := after.Processed - before.Processed
-	point := npu.BenchPoint{
-		Path: pathName, Cores: cores, Batch: batch,
-		Packets: processed, WallSeconds: wall,
-		Instrumented: col != nil,
-	}
-	if wall > 0 && processed > 0 {
-		point.PktsPerSec = float64(processed) / wall
-		point.NsPerPkt = wall * 1e9 / float64(processed)
-		point.SimCyclesPerPkt = float64(after.Cycles-before.Cycles) / float64(processed)
-	}
-	if hits, misses := np.HashCacheStats(); hits+misses > 0 {
-		point.HashHitRate = float64(hits) / float64(hits+misses)
-	}
-	b.ReportMetric(point.PktsPerSec, "pkts/sec")
-	npThroughputReport.Add(point)
-	if err := npThroughputReport.Write("BENCH_npu.json"); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // --- E9: dynamic workload management -------------------------------------------

@@ -23,14 +23,11 @@ import (
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/attack"
-	"sdmmon/internal/campaign"
-	"sdmmon/internal/fleet"
 	"sdmmon/internal/mhash"
 	"sdmmon/internal/monitor"
 	"sdmmon/internal/npu"
 	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
-	"sdmmon/internal/shard"
 )
 
 func main() {
@@ -44,11 +41,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for traffic and hash parameter")
 	clockMHz := flag.Float64("clock", 100, "core clock in MHz for throughput reporting")
 	forensic := flag.Int("forensic", 0, "forensic trace depth; dumps the instruction trace of the first alarm")
-	bench := flag.Bool("bench", false, "run the throughput sweep (1/2/4/8 cores x batch sizes, fast vs reference) and write -benchout")
-	benchIngress := flag.Bool("benchingress", false, "re-measure only the ingress hand-off points (ring vs mutex x submitters), merging into an existing -benchout")
-	benchTenant := flag.Bool("benchtenant", false, "re-measure only the tenant_isolation series (per-tenant pkts/sec at 1/2/4 tenants), merging into an existing -benchout")
+	bench := flag.Bool("bench", false, "regenerate the virtual-time model series (shard scaling, tenant isolation, fleet rollout, campaign detection) into -benchout")
 	benchOut := flag.String("benchout", "BENCH_npu.json", "output file for -bench")
-	benchPackets := flag.Int("benchpackets", 20000, "packets per sweep point in -bench mode")
 	faults := flag.String("faults", "", "fault-injection scenario: bitflip, hashflip, hang, spurious, graph, link, or all")
 	rollout := flag.String("rollout", "", "live-upgrade scenario: clean, badcanary, lossy, or all")
 	routers := flag.Int("routers", 4, "fleet size for -rollout and -fleet (the fleet drills enforce a minimum of 64)")
@@ -101,12 +95,8 @@ func main() {
 		err = runTenantDrill(*seed)
 	case *load:
 		err = runLoad(*appName, *shards, *cores, *packets, *seed, *clockMHz, col)
-	case *benchIngress:
-		err = runBenchIngress(*appName, *seed, *benchOut)
-	case *benchTenant:
-		err = runBenchTenant(*appName, *benchPackets, *seed, *benchOut)
 	case *bench:
-		err = runBench(*appName, *benchPackets, *optWords, *seed, *benchOut)
+		err = runBench(*appName, *seed, *benchOut)
 	default:
 		err = run(*appName, *cores, *packets, *attacks, *monitors, *qdepth, *optWords, *seed, *clockMHz, *forensic, col)
 	}
@@ -209,214 +199,6 @@ func writeTelemetry(col *obs.Collector, metricsPath, tracePath string) error {
 			dropped = fmt.Sprintf(" (%d dropped at the rings)", n)
 		}
 		fmt.Printf("wrote %d trace events to %s%s\n", len(events), tracePath, dropped)
-	}
-	return nil
-}
-
-// runBench sweeps core counts and batch sizes over both monitoring paths and
-// writes the machine-readable BENCH_npu.json baseline.
-func runBench(appName string, packets, optWords int, seed int64, out string) error {
-	report := npu.NewBenchReport(appName, "npsim -bench")
-	fmt.Printf("npsim bench: %s, %d packets/point, GOMAXPROCS=%d\n",
-		report.App, packets, report.GOMAXPROCS)
-	fmt.Printf("%-10s %6s %6s %14s %10s %12s %9s\n",
-		"path", "cores", "batch", "pkts/sec", "ns/pkt", "simcyc/pkt", "hit-rate")
-	for _, reference := range []bool{false, true} {
-		for _, cores := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{64, 256} {
-				p, err := npu.MeasureThroughput(npu.ThroughputConfig{
-					App: appName, Cores: cores, Batch: batch, Packets: packets,
-					Reference: reference, Seed: seed, OptionWords: optWords,
-				})
-				if err != nil {
-					return err
-				}
-				report.Add(p)
-				fmt.Printf("%-10s %6d %6d %14.0f %10.0f %12.1f %9.3f\n",
-					p.Path, p.Cores, p.Batch, p.PktsPerSec, p.NsPerPkt, p.SimCyclesPerPkt, p.HashHitRate)
-			}
-		}
-	}
-	// Degraded-mode points: half the cores quarantined, dispatch routing
-	// around them — the throughput floor the supervisor guarantees.
-	for _, cores := range []int{4, 8} {
-		p, err := npu.MeasureThroughput(npu.ThroughputConfig{
-			App: appName, Cores: cores, Batch: 256, Packets: packets,
-			Seed: seed, OptionWords: optWords, QuarantineCores: cores / 2,
-		})
-		if err != nil {
-			return err
-		}
-		report.Add(p)
-		fmt.Printf("%-10s %6d %6d %14.0f %10.0f %12.1f %9.3f  (%d cores quarantined)\n",
-			p.Path, p.Cores, p.Batch, p.PktsPerSec, p.NsPerPkt, p.SimCyclesPerPkt, p.HashHitRate, p.QuarantinedCores)
-	}
-	// Instrumented points: the same sweep shape at the largest configuration
-	// with a live collector attached, quantifying the telemetry overhead.
-	for _, cores := range []int{4, 8} {
-		p, err := npu.MeasureThroughput(npu.ThroughputConfig{
-			App: appName, Cores: cores, Batch: 256, Packets: packets,
-			Seed: seed, OptionWords: optWords, Instrumented: true,
-		})
-		if err != nil {
-			return err
-		}
-		report.Add(p)
-		fmt.Printf("%-10s %6d %6d %14.0f %10.0f %12.1f %9.3f  (instrumented)\n",
-			p.Path, p.Cores, p.Batch, p.PktsPerSec, p.NsPerPkt, p.SimCyclesPerPkt, p.HashHitRate)
-	}
-	// Sharded-plane points: the line-card scaling curve of the multi-NP
-	// traffic plane. The scaling is stated on the simulated aggregate
-	// (virtual time), which a small host can measure faithfully; the wall
-	// numbers ride along. See internal/shard.
-	fmt.Printf("%-10s %6s %6s %14s %14s %12s\n",
-		"path", "shards", "cores", "wall pkts/sec", "sim agg pps", "p99 batch cyc")
-	for _, shards := range []int{1, 2, 4, 8} {
-		p, err := shard.MeasureThroughput(shard.BenchConfig{
-			App: appName, Shards: shards, CoresPerShard: 2, Batch: 256,
-			Packets: packets, Flows: 256, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		report.Add(p)
-		fmt.Printf("%-10s %6d %6d %14.0f %14.0f %12d\n",
-			p.Path, p.Shards, p.Cores, p.PktsPerSec, p.SimAggPktsPerSec, p.P99BatchCycles)
-	}
-	// Ingress hand-off points: the lock-free ring + arena against the
-	// mutex-queue baseline it replaced, across submitter counts. See
-	// internal/shard/ingress.go and EXPERIMENTS.md §E16.
-	if err := runIngressSweep(report, seed); err != nil {
-		return err
-	}
-	// Fleet-rollout points: the control plane's makespan curve over fleet
-	// size and management-link loss, in virtual link-seconds. See
-	// internal/fleet and EXPERIMENTS.md §E14.
-	fmt.Printf("%-22s %6s %14s %10s %16s\n",
-		"fleet rollout", "groups", "makespan(s)", "attempts", "attempts/router")
-	report.FleetRollout = make(map[string]npu.FleetRolloutPoint)
-	for _, routers := range []int{100, 300, 1000} {
-		for _, drop := range []float64{0, 0.05, 0.15} {
-			m, err := fleet.MeasureRollout(routers, drop, seed)
-			if err != nil {
-				return err
-			}
-			key := fmt.Sprintf("routers=%d/loss=%.0f%%", m.Routers, m.DropRate*100)
-			report.FleetRollout[key] = npu.FleetRolloutPoint{
-				Routers:           m.Routers,
-				Groups:            m.Groups,
-				DropRate:          m.DropRate,
-				MakespanSeconds:   m.MakespanSeconds,
-				TotalAttempts:     m.TotalAttempts,
-				AttemptsPerRouter: m.AttemptsPerRouter,
-			}
-			fmt.Printf("%-22s %6d %14.2f %10d %16.2f\n",
-				key, m.Groups, m.MakespanSeconds, m.TotalAttempts, m.AttemptsPerRouter)
-		}
-	}
-	// Campaign-detection points: packets-to-detection distributions of the
-	// adversarial campaign corpus, per family, over a seed sweep. See
-	// internal/campaign and EXPERIMENTS.md §E15.
-	fmt.Printf("%-22s %8s %10s %10s %14s\n",
-		"campaign family", "detected", "p50 pkts", "p99 pkts", "mean evasion")
-	report.CampaignDetection = make(map[string]npu.CampaignDetectionPoint)
-	for _, family := range campaign.Families() {
-		d, err := campaign.MeasureDetection(family, campaignSweepSeeds, seed)
-		if err != nil {
-			return err
-		}
-		report.CampaignDetection[family] = npu.CampaignDetectionPoint{
-			Family:           d.Family,
-			Runs:             d.Runs,
-			Detected:         d.Detected,
-			P50:              d.P50,
-			P99:              d.P99,
-			Min:              d.Min,
-			Max:              d.Max,
-			MeanEvasionDepth: d.MeanEvasionDepth,
-		}
-		fmt.Printf("%-22s %4d/%-3d %10d %10d %14.1f\n",
-			family, d.Detected, d.Runs, d.P50, d.P99, d.MeanEvasionDepth)
-	}
-	// Tenant-isolation points: the slowest tenant's throughput as the plane
-	// is split among 1/2/4 tenants. See internal/tenant and EXPERIMENTS.md
-	// §E17.
-	if err := runTenantSweep(report, packets, seed); err != nil {
-		return err
-	}
-	if err := report.Write(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	for k, s := range report.SpeedupFastVsReference {
-		fmt.Printf("  speedup fast/reference %s: %.2fx\n", k, s)
-	}
-	for k, o := range report.OverheadInstrumented {
-		fmt.Printf("  overhead instrumented/bare %s: %.2f%%\n", k, 100*(o-1))
-	}
-	for k, s := range report.ShardScaling {
-		fmt.Printf("  shard scaling %s: %.2fx\n", k, s)
-	}
-	for k, s := range report.IngressFast {
-		fmt.Printf("  ingress ring/mutex %s: %.2fx\n", k, s)
-	}
-	return nil
-}
-
-// runIngressSweep measures the ingress hand-off — producers feeding one
-// consumer — through the mutex-queue baseline and the lock-free ring, at
-// 1, 4 and 16 submitters, and adds the points to the report (replacing
-// any earlier measurement of the same shape).
-func runIngressSweep(report *npu.BenchReport, seed int64) error {
-	fmt.Printf("%-14s %10s %14s %10s\n", "ingress", "submitters", "pkts/sec", "ns/pkt")
-	for _, mutex := range []bool{true, false} {
-		for _, submitters := range []int{1, 4, 16} {
-			// Best of three: on a shared host a single hand-off run can
-			// lose tens of percent to scheduler luck, and the recorded
-			// baseline should be the sustainable rate, not the unluckiest.
-			var best npu.BenchPoint
-			for rep := 0; rep < 3; rep++ {
-				p, err := shard.MeasureIngress(shard.IngressConfig{
-					Submitters: submitters,
-					Packets:    200000,
-					Seed:       seed,
-					MutexQueue: mutex,
-				})
-				if err != nil {
-					return err
-				}
-				if p.PktsPerSec > best.PktsPerSec {
-					best = p
-				}
-			}
-			report.Add(best)
-			fmt.Printf("%-14s %10d %14.0f %10.1f\n", best.Path, best.Submitters, best.PktsPerSec, best.NsPerPkt)
-		}
-	}
-	return nil
-}
-
-// runBenchIngress refreshes only the ingress points of an existing BENCH
-// document (or starts a fresh one if none exists), leaving every other
-// measured series untouched; Write recomputes the derived ratio maps.
-func runBenchIngress(appName string, seed int64, out string) error {
-	report, err := npu.LoadBenchReport(out)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
-		report = npu.NewBenchReport(appName, "npsim -benchingress")
-	}
-	fmt.Printf("npsim bench-ingress: merging into %s\n", out)
-	if err := runIngressSweep(report, seed); err != nil {
-		return err
-	}
-	if err := report.Write(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	for k, s := range report.IngressFast {
-		fmt.Printf("  ingress ring/mutex %s: %.2fx\n", k, s)
 	}
 	return nil
 }

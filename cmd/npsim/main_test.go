@@ -143,3 +143,42 @@ func TestRolloutScenariosPass(t *testing.T) {
 		t.Errorf("rollout scenarios ran but sec_installs_total = 0")
 	}
 }
+
+// TestBenchWritesModelSeriesOnly pins the BENCH_npu.json document: host
+// metadata and the four virtual-time model series, each populated, and no
+// other key.
+func TestBenchWritesModelSeriesOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures every model series")
+	}
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := runBench("ipv4cm", 1, out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"source": false, "app": false, "gomaxprocs": false, "num_cpu": false, "go_version": false,
+		"shard_scaling": true, "tenant_isolation": true, "fleet_rollout": true, "campaign_detection": true,
+	}
+	for k, raw := range doc {
+		series, ok := want[k]
+		if !ok {
+			t.Errorf("unexpected key %q", k)
+			continue
+		}
+		var m map[string]json.RawMessage
+		if series && (json.Unmarshal(raw, &m) != nil || len(m) == 0) {
+			t.Errorf("series %q is empty", k)
+		}
+	}
+	if len(doc) != len(want) {
+		t.Errorf("document has %d keys, want %d", len(doc), len(want))
+	}
+}

@@ -1,16 +1,13 @@
 package main
 
-// npsim -tenant: the self-asserting two-tenant isolation drill, and the
-// tenant_isolation bench sweep folded into -bench. See internal/tenant,
-// internal/campaign/tenantdrill.go and EXPERIMENTS.md §E17.
+// npsim -tenant: the self-asserting two-tenant isolation drill. See
+// internal/tenant, internal/campaign/tenantdrill.go and EXPERIMENTS.md
+// §E17.
 
 import (
 	"fmt"
-	"os"
 
 	"sdmmon/internal/campaign"
-	"sdmmon/internal/npu"
-	"sdmmon/internal/tenant"
 )
 
 // runTenantDrill executes the hostile-vs-control tenant isolation drill:
@@ -26,63 +23,5 @@ func runTenantDrill(seed int64) error {
 	fmt.Println("  victim: gadget detected, cores quarantined, noc flood held at the tenant's admission")
 	fmt.Println("  bystander: counters, domain stats and telemetry byte-identical to the no-attack control")
 	fmt.Println("npsim tenant: PASS")
-	return nil
-}
-
-// runBenchTenant refreshes only the tenant_isolation series of an
-// existing BENCH document, leaving every other series untouched — the
-// same merge discipline as -benchingress.
-func runBenchTenant(appName string, packets int, seed int64, out string) error {
-	report, err := npu.LoadBenchReport(out)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
-		report = npu.NewBenchReport(appName, "npsim -benchtenant")
-	}
-	fmt.Printf("npsim bench-tenant: merging into %s\n", out)
-	if err := runTenantSweep(report, packets, seed); err != nil {
-		return err
-	}
-	if err := report.Write(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	for k, p := range report.TenantIsolation {
-		if p.MinVsBaseline > 0 {
-			fmt.Printf("  isolation %s: min/baseline %.2fx\n", k, p.MinVsBaseline)
-		}
-	}
-	return nil
-}
-
-// runTenantSweep measures the per-tenant isolation curve — the slowest
-// tenant's throughput as the same silicon is split among 1, 2 and 4
-// tenants — and replaces the tenant_isolation series in the report.
-func runTenantSweep(report *npu.BenchReport, packets int, seed int64) error {
-	fmt.Printf("%-18s %6s %14s %14s %14s\n",
-		"tenant isolation", "shards", "min pkts/sec", "agg pkts/sec", "pkts/tenant")
-	report.TenantIsolation = make(map[string]npu.TenantIsolationPoint)
-	for _, tenants := range []int{1, 2, 4} {
-		p, err := tenant.MeasureIsolation(tenant.IsolationConfig{
-			Tenants: tenants, Shards: 2, CoresPerTenant: 2,
-			PacketsPerTenant: packets / 4, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		key := fmt.Sprintf("tenants=%d", tenants)
-		report.TenantIsolation[key] = npu.TenantIsolationPoint{
-			Tenants:          p.Tenants,
-			Shards:           p.Shards,
-			CoresPerTenant:   p.CoresPerTenant,
-			PacketsPerTenant: p.PacketsPerTenant,
-			PerTenant:        p.PerTenant,
-			MinPktsPerSec:    p.MinPktsPerSec,
-			AggPktsPerSec:    p.AggPktsPerSec,
-		}
-		fmt.Printf("%-18s %6d %14.0f %14.0f %14d\n",
-			key, p.Shards, p.MinPktsPerSec, p.AggPktsPerSec, p.PacketsPerTenant)
-	}
 	return nil
 }

@@ -106,7 +106,7 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sampler, err := threat.NewSampler(threat.SamplerConfig{Plane: plane, NPs: nps, Collectors: cols})
+	sampler, err := threat.NewSampler(threat.SamplerConfig{Plane: plane, NPs: nps})
 	if err != nil {
 		return nil, err
 	}

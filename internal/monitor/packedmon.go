@@ -149,15 +149,6 @@ func (m *PackedMonitor) Counters() (checked, alarms uint64, maxPositions int) {
 	return m.Checked, m.Alarms, m.MaxPositions
 }
 
-// CacheStats reports the instruction-hash cache counters, or zeros when the
-// monitor's hash unit is not a FastHasher.
-func (m *PackedMonitor) CacheStats() (hits, misses uint64) {
-	if m.fast == nil {
-		return 0, 0
-	}
-	return m.fast.Hits, m.fast.Misses
-}
-
 // Observe consumes one retired instruction (cpu.TraceFunc signature). The
 // steady-state path performs zero heap allocations.
 func (m *PackedMonitor) Observe(pc uint32, w isa.Word) bool {

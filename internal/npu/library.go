@@ -5,6 +5,7 @@ import (
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/asm"
+	"sdmmon/internal/mhash"
 	"sdmmon/internal/monitor"
 )
 
@@ -97,4 +98,35 @@ func (np *NP) LoadLibraryApp(app *apps.App, param uint32) error {
 		return err
 	}
 	return np.LoadLibrary(app.Name, prog.Serialize(), g.Serialize(), param)
+}
+
+// NewBenchNP builds an NP with the named application ("" selects ipv4cm)
+// and its monitoring graph installed on every core, the hash parameter
+// derived from seed: the standard fixture of the shard and tenant model
+// benches.
+func NewBenchNP(appName string, cores int, seed int64) (*NP, error) {
+	if appName == "" {
+		appName = "ipv4cm"
+	}
+	app, err := apps.ByName(appName)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := app.Program()
+	if err != nil {
+		return nil, err
+	}
+	param := uint32(seed)*2654435761 + 0x600D
+	g, err := monitor.Extract(prog, mhash.NewMerkle(param))
+	if err != nil {
+		return nil, err
+	}
+	np, err := New(Config{Cores: cores, MonitorsEnabled: true})
+	if err != nil {
+		return nil, err
+	}
+	if err := np.InstallAll(appName, prog.Serialize(), g.Serialize(), param); err != nil {
+		return nil, err
+	}
+	return np, nil
 }

@@ -150,8 +150,8 @@ type Config struct {
 	// map-based NFA monitor stepping an uncached hash unit. The default
 	// (false) is the allocation-free fast path — flattened PackedMonitor
 	// transitions plus a word-keyed FastHasher. The two are semantically
-	// identical; Reference exists for A/B throughput comparison
-	// (cmd/npsim -bench, BenchmarkNPThroughput).
+	// identical; Reference is the oracle that the benchmark's verdict
+	// check and the equivalence suites compare the fast path against.
 	Reference bool
 	// HashCacheBits sizes the per-core instruction-hash cache as log2 of
 	// the entry count; 0 selects mhash.DefaultFastCacheBits. Ignored when
@@ -268,6 +268,16 @@ func (np *NP) Instance() string { return np.cfg.Instance }
 
 // Cores returns the core count.
 func (np *NP) Cores() int { return len(np.slots) }
+
+// CycleHistogram returns core's per-packet simulated-cycle histogram (the
+// np_packet_cycles series), or nil when the NP has no collector or core is
+// out of range.
+func (np *NP) CycleHistogram(core int) *obs.Histogram {
+	if core < 0 || core >= len(np.slots) {
+		return nil
+	}
+	return np.slots[core].cyc
+}
 
 // HasherFor builds a hash unit for a parameter using this NP's configured
 // hash family; the operator-side graph extraction must use the same family.

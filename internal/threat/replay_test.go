@@ -195,7 +195,7 @@ func TestThreatEngineConcurrentDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler, err := NewSampler(SamplerConfig{Plane: plane, NPs: nps, Collectors: cols})
+	sampler, err := NewSampler(SamplerConfig{Plane: plane, NPs: nps})
 	if err != nil {
 		t.Fatal(err)
 	}

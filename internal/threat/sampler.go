@@ -12,7 +12,7 @@ import (
 // threat samples by differencing successive snapshots:
 //
 //   - per-core alarm rate: monitor alarms per packet processed on the core,
-//     from npu.MonitorStats and the np_packet_cycles{core="N"} histogram;
+//     from npu.MonitorStats and the core's np_packet_cycles histogram;
 //   - per-core cycle-outlier rate: fraction of the core's packets whose
 //     simulated cycle cost landed above OutlierAt;
 //   - per-shard fault rate: architectural faults per processed packet, from
@@ -30,7 +30,7 @@ type Sampler struct {
 	plane *shard.Plane
 	nps   []*npu.NP
 	// cyc[shard][core] is the per-core packet-cycle histogram resolved once
-	// at construction.
+	// at construction (nil when that NP has no collector).
 	cyc [][]*obs.Histogram
 	// outlierBucket[shard][core] is the first histogram bucket index whose
 	// samples count as outliers.
@@ -55,12 +55,10 @@ type SamplerConfig struct {
 	// Plane is the traffic plane whose ingress stats feed the backpressure
 	// signal; nil disables that signal (campaigns model their own queues).
 	Plane *shard.Plane
-	// NPs are the line cards, index = shard.
+	// NPs are the line cards, index = shard. The per-core signals read
+	// each NP's own cycle histograms, so an NP built without a collector
+	// contributes no per-core signal.
 	NPs []*npu.NP
-	// Collectors are the per-shard obs collectors the NPs publish to,
-	// index = shard; the sampler resolves np_packet_cycles histograms from
-	// them. A nil entry disables the per-core signals for that shard.
-	Collectors []*obs.Collector
 	// OutlierAt is the per-packet cycle cost above which a packet counts as
 	// a cycle outlier; 0 selects 2048 (the default apps finish far below).
 	OutlierAt float64
@@ -88,13 +86,8 @@ func NewSampler(cfg SamplerConfig) (*Sampler, error) {
 		cores := np.Cores()
 		s.cyc[i] = make([]*obs.Histogram, cores)
 		s.outlierBucket[i] = make([]int, cores)
-		var col *obs.Collector
-		if i < len(cfg.Collectors) {
-			col = cfg.Collectors[i]
-		}
 		for c := 0; c < cores; c++ {
-			h := col.Registry().Histogram(fmt.Sprintf(`np_packet_cycles{core="%d"}`, c), obs.CycleBuckets)
-			s.cyc[i][c] = h
+			s.cyc[i][c] = np.CycleHistogram(c)
 			// First bucket whose samples exceed the bound: bounds are
 			// inclusive upper edges, so bucket b holds samples <= Bounds[b].
 			b := 0
