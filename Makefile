@@ -67,8 +67,9 @@ test-shard:
 	$(GO) test -run 'ShardScalingGate' -count=1 ./internal/shard/
 
 # The graded threat-response engine under the race detector: EWMA/FSM
-# edge cases, deterministic campaign replay (byte-identical incident
-# records), the live-plane concurrent-drains test, and the shard-side
+# edge cases, policy and incident codecs, the sampler, the engine under
+# the burst/ramp/slowdrip campaign drills (byte-identical incident
+# replay), the live-plane concurrent-drains test, and the shard-side
 # conservation drill with responses firing mid-traffic.
 test-threat:
 	$(GO) test -race ./internal/threat/...
@@ -81,10 +82,11 @@ test-fleet:
 	$(GO) test -race ./internal/fleet/...
 	$(GO) run ./cmd/npsim -fleet all -routers 96 -seed 4 > /dev/null
 
-# The adversarial campaign corpus under the race detector: the five
-# attack families with byte-identical replay, the live concurrent-plane
-# drill, the FreezeAt poisoning contrast, the fleet evasion drill, and
-# the npsim self-asserting campaign drill end to end.
+# The adversarial campaign corpus under the race detector: the seven
+# attack families with byte-identical replay and per-tick conservation,
+# the live concurrent-plane drill, the FreezeAt poisoning contrast, the
+# fleet evasion drill, and the npsim self-asserting campaign drill end to
+# end.
 test-campaign:
 	$(GO) test -race ./internal/campaign/...
 	$(GO) test -race -run 'Campaign' -count=1 ./internal/shard/... ./internal/threat/... ./internal/fleet/...

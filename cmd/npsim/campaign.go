@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 
 	"sdmmon/internal/campaign"
+	"sdmmon/internal/threat"
 )
 
 // campaignSweepSeeds is how many seeds the detection-latency sweep runs
@@ -21,8 +23,9 @@ const campaignSweepSeeds = 16
 // result passes the family's own self-assertions. A multi-seed sweep then
 // reports the packets-to-detection distribution, and `all` finishes with
 // the fleet-wide collision evasion drill (crack → replay → rotate →
-// replay).
-func runCampaign(scenario string, seed int64) error {
+// replay). A non-empty incidentsPath receives the incident records of
+// every direct run as JSON lines (threat.WriteIncidents).
+func runCampaign(scenario string, seed int64, incidentsPath string) error {
 	families := campaign.Families()
 	if scenario != "all" {
 		if err := campaignFamilyKnown(scenario); err != nil {
@@ -31,6 +34,7 @@ func runCampaign(scenario string, seed int64) error {
 		families = []string{scenario}
 	}
 
+	var captured []threat.IncidentRecord
 	for _, family := range families {
 		fmt.Printf("attack campaign %q, seed %d:\n", family, seed)
 		a, err := campaign.RunCampaign(campaign.Config{Family: family, Seed: seed})
@@ -64,11 +68,12 @@ func runCampaign(scenario string, seed int64) error {
 		if err := a.Check(); err != nil {
 			return &scenarioError{Mode: "campaign", Scenario: family, Err: err}
 		}
+		captured = append(captured, a.Incidents...)
 
 		fmt.Printf("  peak=%s final=%s detect@%d packets  mutants %d/%d detected  evasion depth %.1f\n",
 			a.Peak, a.Final, a.PacketsToDetect, a.MutantsDetected, len(a.Mutants), a.EvasionDepth)
-		fmt.Printf("  responses: isolated=%d tightened=%d lockdown=%v  incidents=%d  replay=byte-identical (%d bytes)\n",
-			a.IsolatedCores, a.AdmissionTightened, a.LockdownFired, len(a.Incidents), len(ab))
+		fmt.Printf("  responses: isolated=%d tightened=%d rehashed=%d zeroized=%v lockdown=%v  incidents=%d  replay=byte-identical (%d bytes)\n",
+			a.IsolatedCores, a.AdmissionTightened, a.FailedShards, a.StagedZeroized, a.LockdownFired, len(a.Incidents), len(ab))
 		st := a.Stats
 		fmt.Printf("  conservation: arrived=%d = processed=%d + taildrops=%d + starved=%d + backlog=%d (marked=%d alarms=%d)\n",
 			st.Arrived, st.Processed, st.TailDrops, st.Starved, st.Backlog, st.Marked, st.Alarms)
@@ -89,6 +94,20 @@ func runCampaign(scenario string, seed int64) error {
 			d.Runs, d.Detected, d.Runs, d.P50, d.P99, d.Min, d.Max, d.MeanEvasionDepth)
 	}
 
+	if incidentsPath != "" {
+		f, err := os.Create(incidentsPath)
+		if err != nil {
+			return err
+		}
+		err = threat.WriteIncidents(f, captured)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("writing incidents to %s: %w", incidentsPath, err)
+		}
+		fmt.Printf("wrote %d incident records to %s\n", len(captured), incidentsPath)
+	}
 	if scenario == "all" {
 		return runFleetEvasion(seed)
 	}

@@ -49,10 +49,9 @@ func main() {
 	fleetDrill := flag.String("fleet", "", "hierarchical control-plane drill: clean, partition, badwave, or all")
 	load := flag.Bool("load", false, "run the sharded traffic plane under overload (see -shards)")
 	shards := flag.Int("shards", 4, "line-card shards for -load")
-	threatDrill := flag.String("threat", "", "graded threat-response drill: burst, ramp, slowdrip, or all (self-asserting, replayed twice)")
-	campaignDrill := flag.String("campaign", "", "adversarial campaign drill: gadget, collision, slowdrip, noc, poison, or all (self-asserting; replayed twice through the wire codec, plus the fleet evasion drill with all)")
+	campaignDrill := flag.String("campaign", "", "adversarial campaign drill: gadget, collision, slowdrip, noc, poison, burst, ramp, or all (self-asserting; replayed twice through the wire codec, plus the fleet evasion drill with all)")
 	tenantDrill := flag.Bool("tenant", false, "run the self-asserting two-tenant isolation drill (gadget + noc at one tenant; bystander byte-identical to a no-attack control)")
-	incidentsOut := flag.String("incidents", "", "write captured incident records as JSON lines (with -threat)")
+	incidentsOut := flag.String("incidents", "", "write the incident records of the -campaign drill's direct runs as JSON lines")
 	metricsOut := &pathFlag{def: "npsim_metrics.json"}
 	flag.Var(metricsOut, "metrics", "write a metrics snapshot on exit; bare -metrics selects npsim_metrics.json, -metrics=FILE a path (.prom = Prometheus text, otherwise JSON)")
 	traceOut := flag.String("trace", "", "write the structured event trace as JSON lines on exit")
@@ -88,9 +87,7 @@ func main() {
 	case *faults != "":
 		err = runFaults(*faults, *appName, *cores, *seed, col)
 	case *campaignDrill != "":
-		err = runCampaign(*campaignDrill, *seed)
-	case *threatDrill != "":
-		err = runThreat(*threatDrill, *seed, *incidentsOut)
+		err = runCampaign(*campaignDrill, *seed, *incidentsOut)
 	case *tenantDrill:
 		err = runTenantDrill(*seed)
 	case *load:

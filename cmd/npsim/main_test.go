@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sdmmon/internal/obs"
+	"sdmmon/internal/threat"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -180,5 +181,31 @@ func TestBenchWritesModelSeriesOnly(t *testing.T) {
 	}
 	if len(doc) != len(want) {
 		t.Errorf("document has %d keys, want %d", len(doc), len(want))
+	}
+}
+
+// -incidents writes the direct run's incident records as JSON lines, each
+// one a strict threat.UnmarshalIncident decode.
+func TestCampaignWritesIncidents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incidents.jsonl")
+	if err := runCampaign("burst", 1, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(data) == 0 {
+		t.Fatal("burst wrote no incident records")
+	}
+	for i, line := range lines {
+		rec, err := threat.UnmarshalIncident([]byte(line))
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if rec.To != threat.Critical {
+			t.Errorf("line %d: incident escalated to %v, want %v", i+1, rec.To, threat.Critical)
+		}
 	}
 }

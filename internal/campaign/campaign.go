@@ -7,8 +7,7 @@
 // distributions per family, and evasion depth for the mutants that slip
 // through.
 //
-// Where the threat package's drills poison installed instructions, every
-// campaign here attacks through the front door: real crafted packets
+// Every campaign attacks through the front door: real crafted packets
 // (stack-smash overflows carrying mutated payloads) processed by real
 // monitored cores, traffic bursts aimed at the admission/ECN path, and
 // collision probes against the live Merkle hash parameter. A campaign is a
@@ -53,11 +52,20 @@ const (
 	// striking — the adversarial baseline-poisoning case FreezeAt exists
 	// to contain.
 	FamilyPoison = "poison"
+	// FamilyBurst hits every core of one shard at full duty with an
+	// arrival surge: the drill that drives the CRITICAL response battery
+	// (rehash, zeroize staged bundles, lockdown) and the recovery after it.
+	FamilyBurst = "burst"
+	// FamilyRamp climbs one core's duty 1/8 → 1/4 → 1/2 → 1, walking the
+	// classifier up the LOW → MEDIUM → HIGH staircase until core isolation
+	// ends it.
+	FamilyRamp = "ramp"
 )
 
 // Families lists the campaign families in canonical order.
 func Families() []string {
-	return []string{FamilyGadget, FamilyCollision, FamilySlowDrip, FamilyNoC, FamilyPoison}
+	return []string{FamilyGadget, FamilyCollision, FamilySlowDrip, FamilyNoC, FamilyPoison,
+		FamilyBurst, FamilyRamp}
 }
 
 // Config parameterizes a campaign; zero fields select family defaults.
@@ -97,10 +105,9 @@ type Config struct {
 	FreezeAt threat.Level
 }
 
-// Campaign model tuning, mirroring the threat package's synchronous drill:
-// per-shard ingress queue and service rates in packets per tick. Service
-// exceeds the nominal arrival rate, so backpressure appears only under a
-// genuine surge.
+// Campaign model tuning: per-shard ingress queue and service rates in
+// packets per tick. Service exceeds the nominal arrival rate, so
+// backpressure appears only under a genuine surge.
 const (
 	queueCap  = 64
 	markAt    = 32
@@ -112,7 +119,8 @@ const (
 )
 
 // paramSalt derives the campaign's hidden hash parameter from the seed,
-// distinct from the threat (0x7417) and bench (0x600D) streams.
+// distinct from the stream the shard and tenant model benches install
+// (0x600D, npu.NewBenchNP).
 const paramSalt = 0xCAFE
 
 // Stats is the campaign model's packet accounting. Conservation:
@@ -508,6 +516,11 @@ func RunSpec(spec Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Responses fire inside Tick (rehash sheds, lockdown starvation,
+		// tightening); each must keep the books balanced mid-run.
+		if st := c.totalStats(); !st.Conserved() {
+			return nil, fmt.Errorf("campaign: %s packet conservation violated at tick %d: %+v", spec.Family, t, st)
+		}
 		if tr != nil && tr.To > tr.From {
 			for l := tr.From + 1; l <= tr.To; l++ {
 				if c.res.PacketsToLevel[l] < 0 {
@@ -573,6 +586,10 @@ func (r *Result) Check() error {
 		return checkNoC(r)
 	case FamilyPoison:
 		return checkPoison(r)
+	case FamilyBurst:
+		return checkBurst(r)
+	case FamilyRamp:
+		return checkRamp(r)
 	}
 	return fmt.Errorf("campaign: unknown family %q", r.Family)
 }
@@ -792,8 +809,8 @@ func newDriver(c *campaign) (driver, error) {
 		return newSlowDripDriver(c)
 	case FamilyNoC:
 		return newNoCDriver(c)
-	case FamilyPoison:
-		return newPoisonDriver(c)
+	case FamilyPoison, FamilyBurst, FamilyRamp:
+		return newPhaseDriver(c)
 	}
 	return nil, fmt.Errorf("campaign: unknown family %q", c.spec.Family)
 }

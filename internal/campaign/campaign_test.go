@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"sdmmon/internal/threat"
@@ -72,6 +73,25 @@ func TestCampaignReplayByteIdentity(t *testing.T) {
 			if !bytes.Equal(b1, b2) {
 				t.Errorf("replay diverged over %d/%d bytes", len(b1), len(b2))
 			}
+			// Each incident must survive a strict decode and re-encode to
+			// the same bytes (the fixed point the fuzzer widens).
+			for i := range r1.Incidents {
+				raw, err := r1.Incidents[i].Marshal()
+				if err != nil {
+					t.Fatalf("incident %d: %v", i, err)
+				}
+				back, err := threat.UnmarshalIncident(raw)
+				if err != nil {
+					t.Fatalf("incident %d does not survive a strict decode: %v", i, err)
+				}
+				raw2, err := back.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, raw2) {
+					t.Errorf("incident %d is not a marshal fixed point", i)
+				}
+			}
 		})
 	}
 }
@@ -133,5 +153,39 @@ func TestCampaignPoisonFreezeContrast(t *testing.T) {
 		unfrozen.PacketsToLevel[threat.Medium] <= frozen.PacketsToLevel[threat.Medium] {
 		t.Errorf("poisoning did not degrade the unfrozen engine: frozen peak %v vs unfrozen %v",
 			frozen.Peak, unfrozen.Peak)
+	}
+}
+
+// The ramp's staircase duty must walk the classifier up one level per
+// step, and its incident must carry forensics: signal readings, the
+// actions that fired, pre-trigger events, and a stats delta. This is the
+// trajectory EXPERIMENTS.md cites.
+func TestCampaignRampTrajectoryShape(t *testing.T) {
+	r, err := RunCampaign(Config{Family: FamilyRamp, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []threat.Level
+	for _, tr := range r.Trajectory {
+		if tr.To > tr.From {
+			ups = append(ups, tr.To)
+		}
+	}
+	want := []threat.Level{threat.Low, threat.Medium, threat.High}
+	if !reflect.DeepEqual(ups, want) {
+		t.Errorf("ramp escalation sequence = %v, want %v", ups, want)
+	}
+	if len(r.Incidents) == 0 {
+		t.Fatal("ramp captured no incidents")
+	}
+	inc := r.Incidents[0]
+	if inc.To != threat.High || len(inc.Readings) == 0 || len(inc.Actions) == 0 {
+		t.Errorf("incident missing forensics: %+v", inc)
+	}
+	if len(inc.Events) == 0 {
+		t.Error("incident captured no pre-trigger events")
+	}
+	if len(inc.StatsDelta) == 0 {
+		t.Error("incident carries no stats delta")
 	}
 }

@@ -115,6 +115,14 @@ func ResolveSpec(cfg Config) (Spec, error) {
 		if s.Ticks == 0 {
 			s.Ticks = 64
 		}
+	case FamilyBurst:
+		if s.Ticks == 0 {
+			s.Ticks = 36
+		}
+	case FamilyRamp:
+		if s.Ticks == 0 {
+			s.Ticks = 48
+		}
 	default:
 		return Spec{}, fmt.Errorf("campaign: unknown family %q (want one of %v)", s.Family, Families())
 	}

@@ -12,7 +12,8 @@ const e15Seeds = 16
 
 // E15 is the adversarial-campaign extension: mutation-driven attack
 // campaigns (gadget chains, budgeted collision search, slow-drip duty
-// titration, NoC burst shaping, baseline poisoning) run against the live
+// titration, NoC burst shaping, baseline poisoning, and the burst and ramp
+// graded-response drills) run against the live
 // monitored plane, and the detection latency — packets admitted before the
 // classifier reaches each family's detection level — is reported as a
 // distribution over a seed sweep. A fleet drill then prices the collision

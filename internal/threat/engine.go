@@ -81,6 +81,25 @@ func DefaultEngineConfig() EngineConfig {
 	}
 }
 
+// CampaignEngineConfig is the engine tuning the deterministic attack
+// campaigns (internal/campaign) are pinned against. Alarm/fault MinStd
+// 0.08 maps an attacked core's alarm duty cycle onto the default FSM
+// thresholds (duty/0.08: 1/8 → LOW, 1/4 → MEDIUM, 1/2 → HIGH, 1 →
+// CRITICAL); FreezeAt Low keeps a staged ramp from normalizing itself into
+// the baseline.
+func CampaignEngineConfig() EngineConfig {
+	cfg := DefaultEngineConfig()
+	rate := BaselineConfig{Alpha: 0.2, Warmup: 8, MinStd: 0.08}
+	cfg.Signals[SigAlarmRate] = SignalPolicy{Baseline: rate, AbsHigh: 0.6}
+	cfg.Signals[SigFaultRate] = SignalPolicy{Baseline: rate, AbsHigh: 0.6}
+	cfg.Signals[SigCycleOutlier] = SignalPolicy{Baseline: rate, AbsHigh: 0.6}
+	cfg.Signals[SigBackpressure] = SignalPolicy{
+		Baseline: BaselineConfig{Alpha: 0.2, Warmup: 8, MinStd: 0.1}, AbsHigh: 0.95,
+	}
+	cfg.FreezeAt = Low
+	return cfg
+}
+
 // baseKey identifies one (source, signal) baseline.
 type baseKey struct {
 	shard, core int

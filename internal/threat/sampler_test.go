@@ -15,14 +15,7 @@ import (
 // OutlierAt far below ipv4cm's cost, every packet is an outlier.
 func TestSamplerReadsLabeledInstance(t *testing.T) {
 	col := obs.New(64)
-	np, err := npu.New(npu.Config{Cores: 2, MonitorsEnabled: true, Obs: col, Instance: "np0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCampaignBundle(t, 7)
-	if err := np.InstallAll(c.app, c.bin, c.gb, c.param); err != nil {
-		t.Fatal(err)
-	}
+	np := liveNP(t, npu.Config{Cores: 2, Obs: col, Instance: "np0"}, 7)
 	sampler, err := NewSampler(SamplerConfig{NPs: []*npu.NP{np}, OutlierAt: 1})
 	if err != nil {
 		t.Fatal(err)

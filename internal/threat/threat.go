@@ -22,7 +22,7 @@
 //     core, rehash flows off a shard, zeroize staged upgrade bundles, full
 //     plane lockdown — fired through a Responder so the engine stays
 //     decoupled from the plane it protects (responder.go binds the real
-//     shard.Plane; campaign.go binds the deterministic replay model);
+//     shard.Plane; internal/campaign binds its deterministic replay model);
 //
 //   - a forensic capture unit (incident.go) that, on HIGH/CRITICAL
 //     escalations, snapshots the pre-trigger obs EventRing window plus a
@@ -30,9 +30,9 @@
 //
 // The headline guarantee is determinism: the engine is a pure function of
 // the samples it is fed and the virtual time it is fed them at. The same
-// seeded fault campaign reproduces the same threat-level trajectory and the
-// same incident records, byte for byte — pinned by the replay test suite
-// and the npsim -threat drill.
+// seeded attack campaign reproduces the same threat-level trajectory and
+// the same incident records, byte for byte — pinned by internal/campaign's
+// replay tests and the npsim -campaign drill.
 package threat
 
 import "fmt"
