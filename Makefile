@@ -44,12 +44,16 @@ test-obs:
 	$(GO) test -race -run 'Obs|Telemetry|Stats|WireGroundTruth|RoundTrip|DoubleCount' \
 		./internal/npu/... ./internal/network/... ./cmd/npsim/...
 
-# The live-upgrade suite under the race detector: staged install and
-# atomic cutover, canary rollout with auto-rollback, and the
-# anti-downgrade sequence ledger.
+# The live-upgrade suite under the race detector: the one wave engine
+# (internal/rollout, against a scripted target), staged install and
+# atomic cutover, the network and tenant canary rollouts with their
+# rollback scopes, and the anti-downgrade sequence ledger; then the npsim
+# rollout drills (clean, badcanary, lossy) end to end.
 test-rollout:
+	$(GO) test -race ./internal/rollout/...
 	$(GO) test -race -run 'Upgrade|Stage|Commit|Rollback|Rollout|Downgrade|Manifest|Sequence|Ledger|Replay' \
-		./internal/seccrypto/... ./internal/npu/... ./internal/core/... ./internal/network/...
+		./internal/seccrypto/... ./internal/npu/... ./internal/core/... ./internal/network/... ./internal/tenant/...
+	$(GO) run ./cmd/npsim -rollout all -seed 3 > /dev/null
 
 # The resilience suite under the race detector: fault injectors, core
 # quarantine/recovery, and the retrying secure install.
@@ -75,9 +79,10 @@ test-threat:
 	$(GO) test -race ./internal/threat/...
 	$(GO) test -race -run 'Threat' -count=1 ./internal/shard/...
 
-# The hierarchical control plane under the race detector (wave rollouts,
-# partition-tolerant delivery, resume, rotation), plus the npsim drills
-# end to end.
+# The hierarchical control plane under the race detector (wave rollouts
+# through internal/rollout with the wave-aggregate and threat-level gate,
+# partition-tolerant delivery, FLTR resume, rotation), plus the npsim
+# drills end to end.
 test-fleet:
 	$(GO) test -race ./internal/fleet/...
 	$(GO) run ./cmd/npsim -fleet all -routers 96 -seed 4 > /dev/null
@@ -94,7 +99,8 @@ test-campaign:
 
 # The multi-tenant protection domains under the race detector: the
 # trusted domain manager (per-tenant ledgers, domain-gated installs,
-# canaried tenant rollouts), the npu domain partition, the per-tenant
+# canaried tenant rollouts through internal/rollout, rolled back on every
+# NP newest first), the npu domain partition, the per-tenant
 # dispatch/conservation/leakage tests in the shard plane, and the npsim
 # two-tenant isolation drill end to end (gadget + noc at one tenant,
 # bystander byte-identical to a no-attack control).

@@ -7,6 +7,7 @@ import (
 	"sdmmon/internal/fault"
 	"sdmmon/internal/fleet"
 	"sdmmon/internal/network"
+	"sdmmon/internal/rollout"
 )
 
 // runFleet drives the hierarchical control-plane drills: a clean wave-based
@@ -54,7 +55,7 @@ func fleetDrillConfig(routers int, seed int64) (fleet.Config, fleet.RolloutConfi
 		Faults:    fault.LinkFaults{DropRate: 0.05, CorruptRate: 0.02},
 	}
 	rcfg := fleet.RolloutConfig{
-		Gate: fleet.GateConfig{HealthPackets: 8},
+		Gate: rollout.Gate{HealthPackets: 8},
 		Policy: network.RetryPolicy{
 			MaxAttempts:        8,
 			BaseBackoffSeconds: 0.1,
@@ -66,7 +67,7 @@ func fleetDrillConfig(routers int, seed int64) (fleet.Config, fleet.RolloutConfi
 }
 
 func printFleetReport(rep *fleet.FleetReport) {
-	states := map[fleet.RouterState]int{}
+	states := map[rollout.State]int{}
 	for i := range rep.Routers {
 		states[rep.Routers[i].State]++
 	}
@@ -75,8 +76,7 @@ func printFleetReport(rep *fleet.FleetReport) {
 	for w, st := range rep.Waves {
 		fmt.Printf("    wave %d: %s\n", w, st)
 	}
-	for _, st := range []fleet.RouterState{fleet.StatePending, fleet.StateStaged,
-		fleet.StateCommitted, fleet.StateRolledBack, fleet.StateUnreachable} {
+	for st := rollout.State(0); st < rollout.NumStates; st++ {
 		if states[st] > 0 {
 			fmt.Printf("    %d routers %s\n", states[st], st)
 		}
@@ -147,7 +147,7 @@ func fleetPartition(routers int, seed int64) error {
 	}
 	unreachable := 0
 	for i := range rep.Routers {
-		if rep.Routers[i].State == fleet.StateUnreachable {
+		if rep.Routers[i].State == rollout.Failed {
 			unreachable++
 		}
 	}
@@ -175,7 +175,7 @@ func fleetPartition(routers int, seed int64) error {
 		return fmt.Errorf("resumed rollout did not complete")
 	}
 	for i := range final.Routers {
-		if final.Routers[i].State != fleet.StateCommitted {
+		if final.Routers[i].State != rollout.Committed {
 			return fmt.Errorf("%s not committed after resume: %s",
 				final.Routers[i].ID, final.Routers[i].State)
 		}
@@ -222,7 +222,7 @@ func fleetBadWave(routers int, seed int64) error {
 		if rec.Wave != 2 {
 			continue
 		}
-		if rec.State != fleet.StateRolledBack {
+		if rec.State != rollout.RolledBack {
 			return fmt.Errorf("%s (wave 2) state %s, want rolled-back", rec.ID, rec.State)
 		}
 		if p, _ := f.Router(rec.ID).LiveParam(); p != initial {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -207,5 +208,18 @@ func TestCampaignWritesIncidents(t *testing.T) {
 		if rec.To != threat.Critical {
 			t.Errorf("line %d: incident escalated to %v, want %v", i+1, rec.To, threat.Critical)
 		}
+	}
+}
+
+// The lossy drill's assertions hold at every seed, including the seeds
+// whose first transmissions all arrive intact (no retries at all).
+func TestRolloutLossySeeds(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			if err := rolloutLossy(4, 1, seed, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -98,7 +98,7 @@ func printRollout(rep *network.RolloutReport, devices []*core.Device) {
 			attempts = o.Delivery.Attempts
 		}
 		fmt.Printf("    %-4s wave=%2d phase=%-11s attempts=%d live=%s\n",
-			o.DeviceID, o.Wave, o.Phase, attempts, live)
+			o.DeviceID, o.Wave, o.State, attempts, live)
 	}
 	status := "CONSERVED"
 	if !rep.Conserved {
@@ -120,25 +120,34 @@ func deviceLive(devices []*core.Device, id string) (string, bool) {
 	return "?", false
 }
 
+// upgradeTo builds the fleet on udpecho@1.0.0 and upgrades it to app,
+// labelled version, over a link with the given faults. It returns the
+// fleet, the link, the first router's captured v1 package and the report
+// (printed when the rollout returned one).
+func upgradeTo(routers, cores int, seed int64, col *obs.Collector, app *apps.App, version string, faults fault.LinkFaults) ([]*core.Device, *network.LossyLink, []byte, *network.RolloutReport, error) {
+	op, devices, replayWire, err := rolloutFleet(routers, cores, col)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	op.SetAppVersion("udpecho", version)
+	link := network.NewLossyLink(network.GigE(), faults, seed)
+	link.Obs = col
+	rep, err := network.UpgradeFleet(op, devices, app, network.RolloutConfig{Link: link, Seed: seed}, nil)
+	if rep != nil {
+		printRollout(rep, devices)
+	}
+	return devices, link, replayWire, rep, err
+}
+
 // rolloutClean upgrades the fleet 1.0.0 → 1.1.0 over a clean link, then
 // replays the captured 1.0.0 package to show the anti-downgrade ledger
 // rejecting it.
 func rolloutClean(routers, cores int, seed int64, col *obs.Collector) error {
 	fmt.Printf("rollout clean: %d routers x %d cores, canary + health gate\n", routers, cores)
-	op, devices, replayWire, err := rolloutFleet(routers, cores, col)
+	devices, _, replayWire, rep, err := upgradeTo(routers, cores, seed, col, apps.UDPEcho(), "1.1.0", fault.LinkFaults{})
 	if err != nil {
 		return err
 	}
-	op.SetAppVersion("udpecho", "1.1.0")
-	link := network.NewLossyLink(network.GigE(), fault.LinkFaults{}, seed)
-	link.Obs = col
-	rep, err := network.UpgradeFleet(op, devices, apps.UDPEcho(), network.RolloutConfig{
-		Link: link, Seed: seed,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	printRollout(rep, devices)
 	if !rep.Completed || rep.Alarms != 0 || rep.Faults != 0 || !rep.Conserved {
 		return fmt.Errorf("clean rollout not clean: %+v", rep)
 	}
@@ -158,20 +167,10 @@ func rolloutClean(routers, cores int, seed int64, col *obs.Collector) error {
 // router left on the bad version.
 func rolloutBadCanary(routers, cores int, seed int64, col *obs.Collector) error {
 	fmt.Printf("rollout badcanary: %d routers x %d cores, faulty 2.0.0 release\n", routers, cores)
-	op, devices, _, err := rolloutFleet(routers, cores, col)
-	if err != nil {
-		return err
-	}
-	op.SetAppVersion("udpecho", "2.0.0")
-	link := network.NewLossyLink(network.GigE(), fault.LinkFaults{}, seed)
-	link.Obs = col
-	rep, err := network.UpgradeFleet(op, devices, apps.FaultyEcho(), network.RolloutConfig{
-		Link: link, Seed: seed,
-	}, nil)
+	devices, _, _, rep, err := upgradeTo(routers, cores, seed, col, apps.FaultyEcho(), "2.0.0", fault.LinkFaults{})
 	if !errors.Is(err, network.ErrHealthRegression) {
 		return fmt.Errorf("bad canary did not trip the health gate: %v", err)
 	}
-	printRollout(rep, devices)
 	if !rep.RolledBack || !rep.Conserved {
 		return fmt.Errorf("bad canary: expected rollback with conservation: %+v", rep)
 	}
@@ -189,27 +188,34 @@ func rolloutBadCanary(routers, cores int, seed int64, col *obs.Collector) error 
 // sees any of it.
 func rolloutLossy(routers, cores int, seed int64, col *obs.Collector) error {
 	fmt.Printf("rollout lossy: %d routers x %d cores, 30%% drop / 15%% corrupt link\n", routers, cores)
-	op, devices, _, err := rolloutFleet(routers, cores, col)
+	devices, link, _, rep, err := upgradeTo(routers, cores, seed, col, apps.UDPEcho(), "1.2.0",
+		fault.LinkFaults{DropRate: 0.3, CorruptRate: 0.15})
 	if err != nil {
 		return err
 	}
-	op.SetAppVersion("udpecho", "1.2.0")
-	link := network.NewLossyLink(network.GigE(),
-		fault.LinkFaults{DropRate: 0.3, CorruptRate: 0.15}, seed)
-	link.Obs = col
-	rep, err := network.UpgradeFleet(op, devices, apps.UDPEcho(), network.RolloutConfig{
-		Link: link, Seed: seed,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	printRollout(rep, devices)
 	if !rep.Completed || !rep.Conserved {
 		return fmt.Errorf("lossy rollout did not complete cleanly: %+v", rep)
 	}
-	if rep.Cost.Attempts <= rep.Cost.Deliveries {
-		return fmt.Errorf("lossy link produced no retries (attempts=%d deliveries=%d) — seed too kind?",
-			rep.Cost.Attempts, rep.Cost.Deliveries)
+	// Audit the retries against the link's own fault accounting. Every
+	// transmission is one attempt, every dropped one cost an attempt, and
+	// no attempt failed without a wire fault. The failed attempts may fall
+	// short of dropped+corrupted: a router that already pinned the
+	// operator key skips the certificate check, so a flip inside the
+	// certificate's signature goes unnoticed while the payload, verified
+	// against the pinned key, is intact. A seed whose first transmissions
+	// all arrive intact passes with zero retries.
+	ws := link.WireStats()
+	failed := uint64(rep.Cost.Attempts - rep.Cost.Deliveries)
+	if uint64(rep.Cost.Attempts) != ws.Sent || failed < ws.Dropped || failed > ws.Dropped+ws.Corrupted {
+		return fmt.Errorf("retries disagree with the link: attempts=%d deliveries=%d, link sent=%d dropped=%d corrupted=%d",
+			rep.Cost.Attempts, rep.Cost.Deliveries, ws.Sent, ws.Dropped, ws.Corrupted)
 	}
+	for _, dev := range devices {
+		if live, _ := dev.LiveApp(); live != rep.Target {
+			return fmt.Errorf("%s live=%q, want the signed %s", dev.ID, live, rep.Target)
+		}
+	}
+	fmt.Printf("  link: %d sent, %d dropped, %d corrupted; %d failed attempts\n",
+		ws.Sent, ws.Dropped, ws.Corrupted, failed)
 	return nil
 }

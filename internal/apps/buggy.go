@@ -1,14 +1,17 @@
 package apps
 
-// FaultyEcho returns a deliberately broken release of the echo application:
-// it performs a misaligned word load on every packet, raising an alignment
-// exception the moment it runs traffic. It assembles cleanly, its monitoring
-// graph extracts from its own binary, and it passes every cryptographic and
-// self-check gate of the secure installation path — the failure only shows up
-// under live traffic. That makes it the canonical bad canary for the staged
-// rollout's health gate (network.UpgradeFleet): a regression no install-time
-// check can catch. Deliberately NOT in All(): the application sweeps there
-// assume fault-free binaries.
+// FaultyEcho returns a deliberately broken release of the echo application,
+// shipped under the echo's own name (udpecho) so it installs as a newer
+// release of it: it performs a misaligned word load on every packet, raising
+// an alignment exception the moment it runs traffic. It assembles cleanly,
+// its monitoring graph extracts from its own binary, and it passes every
+// cryptographic and self-check gate of the secure installation path — the
+// failure only shows up under live traffic. That makes it the canonical bad
+// release for the per-unit health gate of the staged rollouts
+// (internal/rollout, driven by network.UpgradeFleet and
+// tenant.Manager.Rollout): a regression no install-time check can catch.
+// Deliberately NOT in All(): the application sweeps there assume fault-free
+// binaries.
 func FaultyEcho() *App {
 	return &App{
 		Name:        "udpecho",

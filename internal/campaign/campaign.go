@@ -204,6 +204,8 @@ type Result struct {
 	// reached the family's detection level; -1 if the campaign evaded.
 	PacketsToDetect int64 `json:"packets_to_detect"`
 
+	// Mutants lists the mutants that sent at least one packet; Spec.Mutants
+	// sizes the pool they were drawn from.
 	Mutants         []MutantOutcome `json:"mutants"`
 	MutantsDetected int             `json:"mutants_detected"`
 	// EvasionDepth is the family's aggregate depth metric for undetected
@@ -556,11 +558,20 @@ func RunSpec(spec Spec) (*Result, error) {
 		}
 	}
 	c.drv.finish(c)
+	// A mutant that never sent a packet was never tried: it is neither a
+	// detection nor an evasion, so it leaves the tally (ramp's duty-1 row
+	// after core 1 is isolated, for one).
+	sent := c.res.Mutants[:0]
 	for _, m := range c.res.Mutants {
+		if m.Packets == 0 {
+			continue
+		}
+		sent = append(sent, m)
 		if m.Detected {
 			c.res.MutantsDetected++
 		}
 	}
+	c.res.Mutants = sent
 	return &c.res, nil
 }
 

@@ -189,3 +189,32 @@ func TestCampaignRampTrajectoryShape(t *testing.T) {
 		t.Error("incident carries no stats delta")
 	}
 }
+
+// A mutant that never sent a packet is neither detected nor an evasion:
+// RunSpec drops it from the tally. Ramp's duty-1 row never runs (core 1 is
+// isolated at HIGH first), so ramp scores 3 of 3, not 3 of 4.
+func TestCampaignMutantsOnlySent(t *testing.T) {
+	for _, fam := range Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			r, err := RunCampaign(Config{Family: fam, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			detected := 0
+			for _, m := range r.Mutants {
+				if m.Packets == 0 {
+					t.Errorf("%s seed %d: unsent mutant %+v in the tally", fam, seed, m)
+				}
+				if m.Detected {
+					detected++
+				}
+			}
+			if detected != r.MutantsDetected {
+				t.Errorf("%s seed %d: MutantsDetected %d, rows say %d", fam, seed, r.MutantsDetected, detected)
+			}
+			if fam == FamilyRamp && (r.MutantsDetected != 3 || len(r.Mutants) != 3) {
+				t.Errorf("ramp seed %d: %d/%d mutants detected, want 3/3", seed, r.MutantsDetected, len(r.Mutants))
+			}
+		}
+	}
+}

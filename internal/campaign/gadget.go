@@ -163,14 +163,9 @@ func checkGadget(r *Result) error {
 	if r.Final > threat.Low {
 		return fmt.Errorf("gadget: final level %v, want <= LOW after isolation", r.Final)
 	}
-	executed := 0
-	for _, m := range r.Mutants {
-		if m.Packets > 0 {
-			executed++
-		}
-	}
-	if executed < len(r.Mutants)/2 {
-		return fmt.Errorf("gadget: only %d/%d mutants executed", executed, len(r.Mutants))
+	executed := len(r.Mutants) // RunSpec keeps only the mutants that ran
+	if executed < r.Spec.Mutants/2 {
+		return fmt.Errorf("gadget: only %d/%d mutants executed", executed, r.Spec.Mutants)
 	}
 	if r.MutantsDetected*10 < executed*8 {
 		return fmt.Errorf("gadget: %d/%d executed mutants detected, want >= 80%%",

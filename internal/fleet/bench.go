@@ -5,6 +5,7 @@ import (
 
 	"sdmmon/internal/fault"
 	"sdmmon/internal/network"
+	"sdmmon/internal/rollout"
 )
 
 // RolloutMeasurement summarizes one complete seeded rotation rollout — the
@@ -38,7 +39,7 @@ func MeasureRollout(routers int, drop float64, seed int64) (RolloutMeasurement, 
 		return m, err
 	}
 	ctl, err := NewController(f, RolloutConfig{
-		Gate: GateConfig{HealthPackets: 8},
+		Gate: rollout.Gate{HealthPackets: 8},
 		Policy: network.RetryPolicy{
 			MaxAttempts:        32,
 			BaseBackoffSeconds: 0.1,

@@ -23,7 +23,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/fault"
@@ -32,6 +31,7 @@ import (
 	"sdmmon/internal/network"
 	"sdmmon/internal/npu"
 	"sdmmon/internal/packet"
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
 
@@ -158,27 +158,12 @@ func (r *SimRouter) Crash() {
 	r.staged = nil
 }
 
-// HealthSample is one router's health over a probe window.
-type HealthSample struct {
-	Processed uint64
-	Alarms    uint64
-	Faults    uint64
-}
-
-// EventRate returns (alarms+faults) per processed packet.
-func (s HealthSample) EventRate() float64 {
-	if s.Processed == 0 {
-		return 0
-	}
-	return float64(s.Alarms+s.Faults) / float64(s.Processed)
-}
-
 // Probe pushes n benign packets through the router and returns two
 // samples: observed is the controller's own ground truth (its probe
 // responses), claimed is what the router reports back — a byzantine router
 // claims a clean window regardless of what actually happened. The
 // controller never gates on claimed values; it cross-checks them.
-func (r *SimRouter) Probe(n int) (observed, claimed HealthSample) {
+func (r *SimRouter) Probe(n int) (observed, claimed rollout.Sample) {
 	for i := 0; i < n; i++ {
 		res, err := r.NP.ProcessOn(0, r.probe.Next(), 0)
 		observed.Processed++
@@ -195,7 +180,7 @@ func (r *SimRouter) Probe(n int) (observed, claimed HealthSample) {
 		}
 	}
 	if r.byzantine {
-		return observed, HealthSample{Processed: observed.Processed}
+		return observed, rollout.Sample{Processed: observed.Processed}
 	}
 	return observed, observed
 }
@@ -398,14 +383,4 @@ func (f *Fleet) releaseWires(man seccrypto.Manifest, plan *RotationPlan) (map[st
 		})
 	}
 	return wires, nil
-}
-
-// MakespanSeconds is the rollout's virtual wall clock: groups deliver in
-// parallel, so the makespan is the latest group clock.
-func (f *Fleet) MakespanSeconds() float64 {
-	var m float64
-	for _, g := range f.Groups {
-		m = math.Max(m, g.Link.Clock())
-	}
-	return m
 }

@@ -6,6 +6,7 @@ import (
 
 	"sdmmon/internal/fault"
 	"sdmmon/internal/network"
+	"sdmmon/internal/rollout"
 )
 
 // testPolicy keeps retry budgets small so partitioned waves fail fast.
@@ -18,8 +19,8 @@ func testPolicy() network.RetryPolicy {
 	}
 }
 
-func testGate() GateConfig {
-	return GateConfig{HealthPackets: 8}
+func testGate() rollout.Gate {
+	return rollout.Gate{HealthPackets: 8}
 }
 
 func buildFleet(t *testing.T, cfg Config) *Fleet {
@@ -55,7 +56,7 @@ func TestRolloutCleanCompletes(t *testing.T) {
 		}
 	}
 	for i := range rep.Routers {
-		if rep.Routers[i].State != StateCommitted {
+		if rep.Routers[i].State != rollout.Committed {
 			t.Errorf("router %s state %v", rep.Routers[i].ID, rep.Routers[i].State)
 		}
 		if rep.Routers[i].Byzantine {
@@ -130,5 +131,10 @@ func TestResumeRejectsHaltedOrMismatched(t *testing.T) {
 	}
 	if _, err := ctl.Resume(&FleetReport{Seed: 99}); !errors.Is(err, ErrNotResumable) {
 		t.Errorf("mismatched seed resumed: %v", err)
+	}
+	outOfPlan := &FleetReport{Seed: 5, Waves: make([]WaveStatus, 4), GroupClocks: make([]float64, 2),
+		Routers: []RouterRecord{{ID: "np-0000", Wave: 9}}}
+	if _, err := ctl.Resume(outOfPlan); !errors.Is(err, ErrNotResumable) {
+		t.Errorf("router outside the wave plan resumed: %v", err)
 	}
 }

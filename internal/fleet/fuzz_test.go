@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
 
@@ -19,12 +20,12 @@ func FuzzFleetReport(f *testing.F) {
 		Completed:       false,
 		MakespanSeconds: 12.5,
 		GroupClocks:     []float64{12.5, 3.25},
-		Probe:           HealthSample{Processed: 640, Alarms: 1, Faults: 0},
+		Probe:           rollout.Sample{Processed: 640, Alarms: 1, Faults: 0},
 		TotalAttempts:   97,
 		Routers: []RouterRecord{
-			{ID: "np-0000", Wave: 0, State: StateCommitted, Attempts: 3},
-			{ID: "np-0001", Wave: 1, State: StateUnreachable, Attempts: 8, LastErr: "delivery attempts exhausted"},
-			{ID: "np-0002", Wave: 2, State: StatePending, Byzantine: true},
+			{ID: "np-0000", Wave: 0, State: rollout.Committed, Attempts: 3},
+			{ID: "np-0001", Wave: 1, State: rollout.Failed, Attempts: 8, LastErr: "delivery attempts exhausted"},
+			{ID: "np-0002", Wave: 2, State: rollout.Pending, Byzantine: true},
 		},
 	}
 	f.Add(rep.Marshal())

@@ -7,40 +7,9 @@ import (
 	"math"
 	"sort"
 
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
-
-// RouterState is one router's position in the rollout state machine.
-type RouterState uint8
-
-const (
-	// StatePending: no delivery reached the router yet.
-	StatePending RouterState = iota
-	// StateStaged: the bundle is staged (shadow slots) but not committed —
-	// the commit command never got through.
-	StateStaged
-	// StateCommitted: the release is live on the router.
-	StateCommitted
-	// StateRolledBack: the release was committed, then rolled back by a
-	// failed health gate.
-	StateRolledBack
-	// StateUnreachable: the retry budget ran out without a staged bundle;
-	// the wave proceeded without the router.
-	StateUnreachable
-
-	numRouterStates = iota
-)
-
-var routerStateNames = [numRouterStates]string{
-	"pending", "staged", "committed", "rolled-back", "unreachable",
-}
-
-func (s RouterState) String() string {
-	if int(s) < numRouterStates {
-		return routerStateNames[s]
-	}
-	return fmt.Sprintf("state(%d)", uint8(s))
-}
 
 // WaveStatus is one wave's position in the rollout.
 type WaveStatus uint8
@@ -70,7 +39,7 @@ func (s WaveStatus) String() string {
 type RouterRecord struct {
 	ID    string
 	Wave  uint8
-	State RouterState
+	State rollout.State
 	// Byzantine marks a router whose claimed health diverged from the
 	// controller's own observations.
 	Byzantine bool
@@ -104,21 +73,9 @@ type FleetReport struct {
 	// Routers is sorted by ID.
 	Routers []RouterRecord
 	// Probe totals across the rollout (resume accumulates, never recounts).
-	Probe HealthSample
+	Probe rollout.Sample
 	// TotalAttempts sums transmissions fleet-wide.
 	TotalAttempts uint64
-}
-
-// Stragglers returns the IDs of routers that have not committed (and were
-// not rolled back) — the work a resumed run picks up.
-func (r *FleetReport) Straggler(id string) bool {
-	for i := range r.Routers {
-		if r.Routers[i].ID == id {
-			s := r.Routers[i].State
-			return s != StateCommitted && s != StateRolledBack
-		}
-	}
-	return false
 }
 
 func putU64(buf *bytes.Buffer, v uint64) {
@@ -278,10 +235,10 @@ func UnmarshalFleetReport(wire []byte) (*FleetReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: record state: %v", ErrWire, err)
 		}
-		if int(st) >= numRouterStates {
+		if int(st) >= rollout.NumStates {
 			return nil, fmt.Errorf("%w: record state %d out of range", ErrWire, st)
 		}
-		rec.State = RouterState(st)
+		rec.State = rollout.State(st)
 		if rec.Byzantine, err = readBool("byzantine"); err != nil {
 			return nil, err
 		}

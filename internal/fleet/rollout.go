@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"sdmmon/internal/network"
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/threat"
 )
 
@@ -20,46 +20,28 @@ var (
 	ErrNotResumable = errors.New("fleet: report is not resumable")
 )
 
-// GateConfig tunes the per-wave health gate.
-type GateConfig struct {
-	// RateBudget is the tolerated increase of the wave's post-commit
-	// alarm+fault rate over its pre-rollout baseline; 0 selects 0.02.
-	RateBudget float64
-	// MaxLevel is the threat-engine ceiling: a post-wave level above it
-	// fails the gate. The zero value (None) selects Medium.
-	MaxLevel threat.Level
-	// HealthPackets is the probe depth per router per window; 0 selects 32.
-	HealthPackets int
-}
-
-func (g GateConfig) withDefaults() GateConfig {
-	if g.RateBudget == 0 {
-		g.RateBudget = 0.02
-	}
-	if g.MaxLevel == threat.None {
-		g.MaxLevel = threat.Medium
-	}
-	if g.HealthPackets == 0 {
-		g.HealthPackets = 32
-	}
-	return g
-}
+// maxLevel is the threat-engine ceiling of the wave gate: a post-wave level
+// above it fails the gate.
+const maxLevel = threat.Medium
 
 // RolloutConfig drives one release through the fleet.
 type RolloutConfig struct {
-	Gate GateConfig
+	// Gate.HealthPackets is the probe depth per router per window; 0
+	// selects 32.
+	Gate rollout.Gate
 	// Policy bounds every per-router delivery (bundles and commands). The
 	// zero value selects DefaultRetryPolicy without the per-router
 	// deadline (virtual time, not wall time, is the budget here).
 	Policy network.RetryPolicy
-	// WaveFractions are the cumulative fleet fractions after the canary;
-	// nil selects the canonical canary → 1% → 25% → 100%.
-	WaveFractions []float64
 	// AfterCommit, when set, runs right after a router commits (fault
-	// hooks: the badwave drill poisons wave-2 routers here). Called from
-	// the router's group goroutine; it must touch only that router.
+	// hooks: the badwave drill poisons wave-2 routers here). It must touch
+	// only that router.
 	AfterCommit func(r *SimRouter, wave int)
 }
+
+// waveFractions are the cumulative fleet fractions after the canary: the
+// canonical canary → 1% → 25% → 100%.
+var waveFractions = []float64{0.01, 0.25, 1.0}
 
 // Controller drives wave-based rollouts over a fleet.
 type Controller struct {
@@ -72,24 +54,12 @@ type Controller struct {
 // NewController builds a controller with its own threat engine (record-only
 // default configuration; the gate reads its level).
 func NewController(f *Fleet, cfg RolloutConfig) (*Controller, error) {
-	cfg.Gate = cfg.Gate.withDefaults()
+	if cfg.Gate.HealthPackets == 0 {
+		cfg.Gate.HealthPackets = 32
+	}
 	if cfg.Policy.MaxAttempts == 0 {
 		cfg.Policy = network.DefaultRetryPolicy()
 		cfg.Policy.DeadlineSeconds = 0
-	}
-	if cfg.WaveFractions == nil {
-		cfg.WaveFractions = []float64{0.01, 0.25, 1.0}
-	}
-	for i, fr := range cfg.WaveFractions {
-		if fr <= 0 || fr > 1 {
-			return nil, fmt.Errorf("fleet: wave fraction %v out of (0, 1]", fr)
-		}
-		if i > 0 && fr < cfg.WaveFractions[i-1] {
-			return nil, fmt.Errorf("fleet: wave fractions must be non-decreasing")
-		}
-	}
-	if cfg.WaveFractions[len(cfg.WaveFractions)-1] != 1.0 {
-		return nil, fmt.Errorf("fleet: final wave fraction must be 1.0")
 	}
 	engine, err := threat.NewEngine(threat.DefaultEngineConfig())
 	if err != nil {
@@ -100,16 +70,16 @@ func NewController(f *Fleet, cfg RolloutConfig) (*Controller, error) {
 
 // waveOf maps a rollout-order router index to its wave: index 0 is the
 // canary; the cumulative fractions cut the rest.
-func (c *Controller) waveOf(idx, n int) uint8 {
+func waveOf(idx, n int) uint8 {
 	if idx == 0 {
 		return 0
 	}
-	for w, fr := range c.cfg.WaveFractions {
+	for w, fr := range waveFractions {
 		if idx < int(math.Ceil(fr*float64(n))) {
 			return uint8(w + 1)
 		}
 	}
-	return uint8(len(c.cfg.WaveFractions))
+	return uint8(len(waveFractions))
 }
 
 // Run drives a fresh rollout: derive the rotation plan, build the release,
@@ -129,12 +99,12 @@ func (c *Controller) Run() (*FleetReport, error) {
 	rep := &FleetReport{
 		Seed:        c.f.Seed,
 		Release:     man,
-		Waves:       make([]WaveStatus, len(c.cfg.WaveFractions)+1),
+		Waves:       make([]WaveStatus, len(waveFractions)+1),
 		GroupClocks: make([]float64, len(c.f.Groups)),
 	}
 	n := len(routers)
 	for i, r := range routers {
-		rep.Routers = append(rep.Routers, RouterRecord{ID: r.ID, Wave: c.waveOf(i, n)})
+		rep.Routers = append(rep.Routers, RouterRecord{ID: r.ID, Wave: waveOf(i, n)})
 	}
 	return c.execute(rep, wires)
 }
@@ -156,10 +126,14 @@ func (c *Controller) Resume(rep *FleetReport) (*FleetReport, error) {
 	}
 	ids := make([]string, 0, len(rep.Routers))
 	for i := range rep.Routers {
-		if c.f.Router(rep.Routers[i].ID) == nil {
-			return nil, fmt.Errorf("%w: unknown router %q", ErrNotResumable, rep.Routers[i].ID)
+		rec := &rep.Routers[i]
+		if c.f.Router(rec.ID) == nil {
+			return nil, fmt.Errorf("%w: unknown router %q", ErrNotResumable, rec.ID)
 		}
-		ids = append(ids, rep.Routers[i].ID)
+		if int(rec.Wave) >= len(rep.Waves) {
+			return nil, fmt.Errorf("%w: router %q in wave %d of %d", ErrNotResumable, rec.ID, rec.Wave, len(rep.Waves))
+		}
+		ids = append(ids, rec.ID)
 	}
 	for g, clk := range rep.GroupClocks {
 		c.f.Groups[g].Link.SetClock(clk)
@@ -179,258 +153,161 @@ func (c *Controller) Resume(rep *FleetReport) (*FleetReport, error) {
 	return c.execute(&cp, wires)
 }
 
-// routerOutcome is one router's result within a wave, produced inside its
-// group's goroutine and merged deterministically afterwards.
-type routerOutcome struct {
-	rec      *RouterRecord
-	baseline HealthSample // pre-delivery probe
-	post     HealthSample // post-commit probe (committed routers only)
-	attempts int
-	// rbAttempts counts the rollback command's transmissions separately:
-	// the forward-path attempts are merged into the report before the gate
-	// runs, so the rollback delta must not be double-counted.
-	rbAttempts int
-	state      RouterState
-	lastErr    string
-	byz        bool
-}
-
-// groupWork is one group's slice of a wave.
-type groupWork struct {
-	group   *Group
-	members []*routerOutcome // rollout order within the group
-}
-
-func add(dst *HealthSample, s HealthSample) {
+func add(dst *rollout.Sample, s rollout.Sample) {
 	dst.Processed += s.Processed
 	dst.Alarms += s.Alarms
 	dst.Faults += s.Faults
 }
 
-// execute runs every wave that still has work, gating between waves.
+// errNothingLive stops a rollout whose wave has no live router (e.g. the
+// whole wave sat behind a partition) without judging later waves; the
+// report stays resumable right there.
+var errNothingLive = errors.New("fleet: nothing live in the wave")
+
+// execute runs every wave that still has work, gating between waves. Every
+// action crosses the router's group link — bundles and commands are retried
+// over the lossy link — and every probe is the controller's own
+// observation.
 func (c *Controller) execute(rep *FleetReport, wires map[string][]byte) (*FleetReport, error) {
 	commitWire := EncodeCommand(Command{Op: OpCommit, Manifest: rep.Release})
+	rollbackWire := EncodeCommand(Command{Op: OpRollback, Manifest: rep.Release})
 	cmdSeed := network.DeriveSeed(c.f.Seed, "commit-cmd")
+	rbSeed := network.DeriveSeed(c.f.Seed, "rollback-cmd")
 
-	byID := make(map[string]*RouterRecord, len(rep.Routers))
+	groupOf := map[string]*Group{}
+	for _, g := range c.f.Groups {
+		for _, r := range g.Routers {
+			groupOf[r.ID] = g
+		}
+	}
+	routers := make([]*SimRouter, len(rep.Routers))
+	groups := make([]*Group, len(rep.Routers))
+	units := make([]rollout.Unit, len(rep.Routers))
+	waves := make([][]int, len(rep.Waves))
 	for i := range rep.Routers {
-		byID[rep.Routers[i].ID] = &rep.Routers[i]
+		rec := &rep.Routers[i]
+		routers[i], groups[i] = c.f.Router(rec.ID), groupOf[rec.ID]
+		units[i] = rollout.Unit{State: rec.State, Wave: int(rec.Wave)}
+		waves[rec.Wave] = append(waves[rec.Wave], i)
 	}
 
-	for w := range rep.Waves {
-		if rep.Waves[w] == WaveRolledBack {
-			continue
+	// deliver sends one payload to router i over its group link and
+	// charges the transmissions to its record and the fleet total.
+	deliver := func(i int, wire []byte, seed int64, apply func([]byte) error) error {
+		dr := network.DeliverReliable(groups[i].Link, routers[i].ID, wire, c.cfg.Policy, seed, apply)
+		rep.Routers[i].Attempts += uint32(dr.Attempts)
+		rep.TotalAttempts += uint64(dr.Attempts)
+		if dr.Err != nil {
+			rep.Routers[i].LastErr = dr.Err.Error()
 		}
-		// Collect this wave's unfinished members, grouped.
-		var work []*groupWork
-		committedBefore := 0
-		for _, g := range c.f.Groups {
-			var gw *groupWork
-			for _, r := range g.Routers {
-				rec := byID[r.ID]
-				if rec == nil || int(rec.Wave) != w {
-					continue
-				}
-				if rec.State == StateCommitted {
-					committedBefore++
-					continue
-				}
-				if gw == nil {
-					gw = &groupWork{group: g}
-				}
-				gw.members = append(gw.members, &routerOutcome{rec: rec, state: rec.State})
+		return dr.Err
+	}
+	t := rollout.Target{
+		// Probe pushes the probe window through the router. The
+		// post-commit claim never reaches the gate; a claim diverging
+		// from the controller's own observation marks the router
+		// byzantine.
+		Probe: func(i, _ int, post bool) (rollout.Sample, error) {
+			observed, claimed := routers[i].Probe(c.cfg.Gate.HealthPackets)
+			add(&rep.Probe, observed)
+			if post && claimed != observed {
+				rep.Routers[i].Byzantine = true
 			}
-			if gw != nil {
-				work = append(work, gw)
+			return observed, nil
+		},
+		Stage: func(i, _ int) error {
+			return deliver(i, wires[routers[i].ID], c.f.Seed, routers[i].ApplyBundle)
+		},
+		// Commit fires the one-shot crash drill, sends the commit command
+		// and runs the AfterCommit hook. A lost command leaves the bundle
+		// staged unless the router lost it in the crash.
+		Commit: func(i, wave int) error {
+			r := routers[i]
+			if r.crashAfterStage {
+				r.crashAfterStage = false
+				r.Crash()
 			}
-		}
-		if len(work) == 0 {
-			// Nothing left to do: every member already committed, or the
-			// wave is empty at this fleet size (e.g. a 1% wave of a tiny
-			// fleet). Either way it is vacuously committed.
-			rep.Waves[w] = WaveCommitted
-			continue
-		}
+			if err := deliver(i, commitWire, cmdSeed, r.ApplyCommand); err != nil {
+				if r.staged != nil {
+					return fmt.Errorf("%w: %v", rollout.ErrStillStaged, err)
+				}
+				return err
+			}
+			rep.Routers[i].LastErr = ""
+			if c.cfg.AfterCommit != nil {
+				c.cfg.AfterCommit(r, wave)
+			}
+			return nil
+		},
+		// Rollback is retried exactly like the forward path. No Abort: a
+		// bundle that never verified at the router staged nothing.
+		Rollback: func(i int) error {
+			return deliver(i, rollbackWire, rbSeed, routers[i].ApplyCommand)
+		},
+	}
 
-		// Deliver concurrently per group; routers within a group are
-		// sequential (they share the link and its clock).
-		var wg sync.WaitGroup
-		for _, gw := range work {
-			wg.Add(1)
-			go func(gw *groupWork) {
-				defer wg.Done()
-				c.runGroupWave(gw, wires, commitWire, cmdSeed, w)
-			}(gw)
-		}
-		wg.Wait()
-
-		// Merge deterministically (work is group-ordered, members are
-		// rollout-ordered) and evaluate the gate.
-		var baseline, post HealthSample
-		committedNow := 0
-		for _, gw := range work {
-			for _, out := range gw.members {
-				out.rec.State = out.state
-				out.rec.Attempts += uint32(out.attempts)
-				out.rec.LastErr = out.lastErr
-				out.rec.Byzantine = out.rec.Byzantine || out.byz
-				rep.TotalAttempts += uint64(out.attempts)
-				add(&rep.Probe, out.baseline)
-				add(&rep.Probe, out.post)
-				if out.state == StateCommitted {
-					committedNow++
-					add(&baseline, out.baseline)
-					add(&post, out.post)
-				}
+	judge := func(w int, ran []int) error {
+		// The wave gate judges only routers committed in this run, on the
+		// controller's observed samples.
+		var baseline, post rollout.Sample
+		perGroup := map[int]*rollout.Sample{}
+		var order []int // groups in rollout order
+		live := 0
+		for _, i := range ran {
+			if units[i].State != rollout.Committed {
+				continue
 			}
-		}
-
-		if committedNow == 0 && committedBefore == 0 {
-			// Nothing in this wave is live (e.g. the whole wave sat behind
-			// a partition): stop without judging later waves — the report
-			// stays resumable right here.
-			break
-		}
-		if committedNow > 0 {
-			halted, err := c.gate(rep, work, w, baseline, post, commitWire, cmdSeed)
-			if err != nil {
-				return rep, err
+			live++
+			add(&baseline, units[i].Baseline)
+			add(&post, units[i].After)
+			g := groups[i].Index
+			if perGroup[g] == nil {
+				perGroup[g] = &rollout.Sample{}
+				order = append(order, g)
 			}
-			if halted {
-				c.saveClocks(rep)
-				return rep, ErrHalted
+			add(perGroup[g], units[i].After)
+		}
+		switch {
+		case live == 0 && len(ran) > 0 && len(ran) == len(waves[w]):
+			return errNothingLive
+		case live > 0:
+			// One engine tick per judged wave: per-group alarm and fault
+			// rates from the post-commit probes.
+			var samples []threat.Sample
+			for _, g := range order {
+				gp := perGroup[g]
+				samples = append(samples,
+					threat.Sample{Shard: g, Core: -1, Signal: threat.SigAlarmRate,
+						Value: float64(gp.Alarms) / float64(gp.Processed)},
+					threat.Sample{Shard: g, Core: -1, Signal: threat.SigFaultRate,
+						Value: float64(gp.Faults) / float64(gp.Processed)})
+			}
+			c.tick++
+			if _, err := c.engine.Tick(c.tick, samples); err != nil {
+				return err
+			}
+			if post.Rate() > baseline.Rate()+rollout.RateBudget || c.engine.Level() > maxLevel {
+				// Roll only this wave back, over the same lossy links,
+				// and halt.
+				rollout.RollBack(t, units, ran)
+				rep.Waves[w] = WaveRolledBack
+				rep.Halted = true
+				return ErrHalted
 			}
 		}
 		rep.Waves[w] = WaveCommitted
+		return nil
 	}
-
+	_, err := rollout.Run(t, units, waves, judge)
+	for i := range units {
+		rep.Routers[i].State = units[i].State
+	}
+	if errors.Is(err, errNothingLive) {
+		err = nil
+	}
 	c.saveClocks(rep)
 	rep.Completed = !rep.Halted && allCommitted(rep)
-	return rep, nil
-}
-
-// runGroupWave drives one group's share of a wave over its own link:
-// baseline probe, bundle delivery, the one-shot crash hook, the commit
-// command, the post-commit hook, and the post probe with its byzantine
-// cross-check.
-func (c *Controller) runGroupWave(gw *groupWork, wires map[string][]byte, commitWire []byte, cmdSeed int64, wave int) {
-	link := gw.group.Link
-	hp := c.cfg.Gate.HealthPackets
-	for _, out := range gw.members {
-		r := c.f.Router(out.rec.ID)
-		base, _ := r.Probe(hp)
-		out.baseline = base
-
-		if out.state != StateStaged {
-			dr := network.DeliverReliable(link, r.ID, wires[r.ID], c.cfg.Policy, c.f.Seed, r.ApplyBundle)
-			out.attempts += dr.Attempts
-			if dr.Err != nil {
-				out.state, out.lastErr = StateUnreachable, dr.Err.Error()
-				continue
-			}
-			out.state = StateStaged
-		}
-		if r.crashAfterStage {
-			r.crashAfterStage = false
-			r.Crash()
-		}
-		cr := network.DeliverReliable(link, r.ID, commitWire, c.cfg.Policy, cmdSeed, r.ApplyCommand)
-		out.attempts += cr.Attempts
-		if cr.Err != nil {
-			out.lastErr = cr.Err.Error()
-			if r.staged == nil {
-				// The staged state is gone (crash); the bundle must be
-				// re-delivered on resume.
-				out.state = StateUnreachable
-			}
-			continue
-		}
-		out.state, out.lastErr = StateCommitted, ""
-		if c.cfg.AfterCommit != nil {
-			c.cfg.AfterCommit(r, wave)
-		}
-		postObs, claimed := r.Probe(hp)
-		out.post = postObs
-		// Byzantine cross-check: the gate never consumes the claimed
-		// sample, but a claim diverging from the controller's own
-		// observation marks the router.
-		out.byz = claimed != postObs
-	}
-}
-
-// gate evaluates a wave's health: rate regression against its own baseline
-// plus the threat-engine level ceiling. A failed gate rolls the wave back
-// and halts the rollout.
-func (c *Controller) gate(rep *FleetReport, work []*groupWork, wave int, baseline, post HealthSample, commitWire []byte, cmdSeed int64) (halted bool, err error) {
-	// One engine tick per judged wave: per-group alarm and fault rates from
-	// the post-commit probes.
-	var samples []threat.Sample
-	for _, gw := range work {
-		var gp HealthSample
-		for _, out := range gw.members {
-			if out.state == StateCommitted {
-				add(&gp, out.post)
-			}
-		}
-		if gp.Processed == 0 {
-			continue
-		}
-		samples = append(samples,
-			threat.Sample{Shard: gw.group.Index, Core: -1, Signal: threat.SigAlarmRate,
-				Value: float64(gp.Alarms) / float64(gp.Processed)},
-			threat.Sample{Shard: gw.group.Index, Core: -1, Signal: threat.SigFaultRate,
-				Value: float64(gp.Faults) / float64(gp.Processed)})
-	}
-	if len(samples) > 0 {
-		c.tick++
-		if _, err := c.engine.Tick(c.tick, samples); err != nil {
-			return false, err
-		}
-	}
-	regressed := post.EventRate()-baseline.EventRate() > c.cfg.Gate.RateBudget
-	level := c.engine.Level()
-	if !regressed && level <= c.cfg.Gate.MaxLevel {
-		return false, nil
-	}
-
-	// Roll the wave back over the same lossy links, concurrently per
-	// group, retried exactly like the forward path.
-	rollbackWire := EncodeCommand(Command{Op: OpRollback, Manifest: rep.Release})
-	rbSeed := network.DeriveSeed(c.f.Seed, "rollback-cmd")
-	var wg sync.WaitGroup
-	for _, gw := range work {
-		wg.Add(1)
-		go func(gw *groupWork) {
-			defer wg.Done()
-			for _, out := range gw.members {
-				if out.state != StateCommitted {
-					continue
-				}
-				r := c.f.Router(out.rec.ID)
-				rr := network.DeliverReliable(gw.group.Link, r.ID, rollbackWire, c.cfg.Policy, rbSeed, r.ApplyCommand)
-				out.rbAttempts = rr.Attempts
-				if rr.Err != nil {
-					out.lastErr = rr.Err.Error()
-					continue
-				}
-				out.state = StateRolledBack
-			}
-		}(gw)
-	}
-	wg.Wait()
-	// Merge the rollback deltas (the forward-path attempts were already
-	// folded in before the gate ran).
-	for _, gw := range work {
-		for _, out := range gw.members {
-			out.rec.State = out.state
-			out.rec.LastErr = out.lastErr
-			out.rec.Attempts += uint32(out.rbAttempts)
-			rep.TotalAttempts += uint64(out.rbAttempts)
-		}
-	}
-	rep.Waves[wave] = WaveRolledBack
-	rep.Halted = true
-	return true, nil
+	return rep, err
 }
 
 func (c *Controller) saveClocks(rep *FleetReport) {
@@ -446,7 +323,7 @@ func (c *Controller) saveClocks(rep *FleetReport) {
 
 func allCommitted(rep *FleetReport) bool {
 	for i := range rep.Routers {
-		if rep.Routers[i].State != StateCommitted {
+		if rep.Routers[i].State != rollout.Committed {
 			return false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"sdmmon/internal/fault"
 	"sdmmon/internal/network"
+	"sdmmon/internal/rollout"
 )
 
 // partitionedConfig is the acceptance drill: 1,000 routers under 15% link
@@ -43,7 +44,7 @@ func runPartitioned(t *testing.T, seed int64) (midWire []byte, final *FleetRepor
 	}
 	unreachable := 0
 	for i := range rep.Routers {
-		if rep.Routers[i].State == StateUnreachable {
+		if rep.Routers[i].State == rollout.Failed {
 			unreachable++
 			if !strings.HasPrefix(rep.Routers[i].ID, "np-02") {
 				t.Errorf("router %s outside group 5 marked unreachable", rep.Routers[i].ID)
@@ -94,7 +95,7 @@ func TestRollout1000PartitionResumeDeterministic(t *testing.T) {
 	}
 	attempts := map[string]uint32{}
 	for i := range midRep.Routers {
-		if midRep.Routers[i].State == StateCommitted {
+		if midRep.Routers[i].State == rollout.Committed {
 			attempts[midRep.Routers[i].ID] = midRep.Routers[i].Attempts
 		}
 	}
@@ -196,7 +197,7 @@ func TestBadWaveHaltsAndRollsBack(t *testing.T) {
 		case 0, 1:
 			// Canary and wave-1 stay committed on their rotated parameters
 			// and healthy.
-			if rec.State != StateCommitted {
+			if rec.State != rollout.Committed {
 				t.Errorf("%s (wave %d) state %v, want committed", rec.ID, rec.Wave, rec.State)
 			}
 			if p, _ := r.LiveParam(); p == initial {
@@ -207,7 +208,7 @@ func TestBadWaveHaltsAndRollsBack(t *testing.T) {
 				t.Errorf("%s unhealthy after halt: %+v", rec.ID, obs)
 			}
 		case 2:
-			if rec.State != StateRolledBack {
+			if rec.State != rollout.RolledBack {
 				t.Errorf("%s (wave 2) state %v, want rolled-back", rec.ID, rec.State)
 				continue
 			}
@@ -221,7 +222,7 @@ func TestBadWaveHaltsAndRollsBack(t *testing.T) {
 				t.Errorf("%s unhealthy after rollback: %+v", rec.ID, obs)
 			}
 		default:
-			if rec.State != StatePending {
+			if rec.State != rollout.Pending {
 				t.Errorf("%s (wave %d) state %v, want pending", rec.ID, rec.Wave, rec.State)
 			}
 		}
@@ -247,11 +248,11 @@ func TestCrashedRouterRecoversOnResume(t *testing.T) {
 	for i := range rep.Routers {
 		if rep.Routers[i].ID == "np-0005" {
 			rec = &rep.Routers[i]
-		} else if rep.Routers[i].State != StateCommitted {
+		} else if rep.Routers[i].State != rollout.Committed {
 			t.Errorf("%s state %v, want committed", rep.Routers[i].ID, rep.Routers[i].State)
 		}
 	}
-	if rec.State != StateUnreachable {
+	if rec.State != rollout.Failed {
 		t.Fatalf("crashed router state %v, want unreachable", rec.State)
 	}
 
@@ -274,7 +275,7 @@ func TestCrashedRouterRecoversOnResume(t *testing.T) {
 		t.Fatal("resume did not complete")
 	}
 	for i := range final.Routers {
-		if final.Routers[i].ID == "np-0005" && final.Routers[i].State != StateCommitted {
+		if final.Routers[i].ID == "np-0005" && final.Routers[i].State != rollout.Committed {
 			t.Errorf("crashed router not committed after resume: %v", final.Routers[i].State)
 		}
 		if strings.Contains(final.Routers[i].LastErr, "sequence regression") {
@@ -312,7 +313,7 @@ func TestByzantineRouterCannotHideRegression(t *testing.T) {
 	if !liarRec.Byzantine {
 		t.Error("lying router not flagged byzantine")
 	}
-	if liarRec.State != StateRolledBack {
+	if liarRec.State != rollout.RolledBack {
 		t.Errorf("lying router state %v, want rolled-back", liarRec.State)
 	}
 }

@@ -216,9 +216,9 @@ type installFunc func(dev *core.Device, wire []byte) (*core.InstallReport, error
 
 // DeriveSeed folds a recipient identity into a delivery seed (FNV-1a), so
 // every per-recipient retry loop draws jitter from its own stream. A shared
-// stream would make the jitter sequence depend on delivery order, which a
-// concurrent (per-group) fleet rollout does not have — per-call derivation
-// is what makes fleet-scale replay byte-deterministic per seed.
+// stream would make the jitter sequence depend on delivery order across
+// routers and links — per-call derivation is what makes fleet-scale replay
+// byte-deterministic per seed whatever order the groups are walked in.
 func DeriveSeed(seed int64, id string) int64 {
 	const (
 		offset = 14695981039346656037

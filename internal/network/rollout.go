@@ -8,19 +8,21 @@ import (
 	"sdmmon/internal/core"
 	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/timing"
 )
 
 // Staged fleet rollout (DESIGN.md §10): upgrading a fleet of routers that are
 // forwarding live traffic must not take the data plane down — neither by the
 // upgrade mechanics (solved by the NP's stage/commit path, which cuts over at
-// a packet boundary) nor by the new version itself being bad (solved here:
-// canaries commit first, a health gate compares their alarm/fault rate
-// against their own pre-upgrade baseline, and a regression rolls the whole
-// fleet back to the retained previous version). Delivery failures are not
-// regressions: a router the lossy management network never reached is
-// reported Failed and the rollout is resumable, while the routers that did
-// upgrade stay upgraded.
+// a packet boundary) nor by the new version itself being bad (solved by the
+// internal/rollout engine driven from here: the canary commits first, the
+// per-router gate compares each router's alarm/fault rate against its own
+// pre-upgrade baseline, and a regression rolls the whole fleet back to the
+// retained previous version). Delivery failures are not regressions: a
+// router the lossy management network never reached is reported Failed and
+// the rollout is resumable, while the routers that did upgrade stay
+// upgraded.
 
 // Rollout-level errors.
 var (
@@ -32,119 +34,24 @@ var (
 	ErrHealthRegression = errors.New("network: health regression after upgrade")
 )
 
-// UpgradeGate parameterizes the post-commit health check.
-type UpgradeGate struct {
-	// HealthPackets is how many packets to run through a router for one
-	// health sample (baseline and post-commit). Default 128.
-	HealthPackets int
-	// RateBudget is the tolerated increase of the per-packet event rate
-	// (alarms+faults over processed) above the pre-upgrade baseline before
-	// the gate declares a regression. Default 0.02.
-	RateBudget float64
-}
-
 // RolloutConfig shapes a staged fleet upgrade.
 type RolloutConfig struct {
-	// Canaries is the size of the first wave (default 1). The canary wave
-	// is special: a delivery failure there aborts the rollout before
-	// anything commits.
-	Canaries int
-	// WaveSize bounds the later waves (default: half the fleet, min 1).
-	WaveSize int
-	Gate     UpgradeGate
-	Policy   RetryPolicy
+	Policy RetryPolicy
 	// Link carries the packages; required.
 	Link *LossyLink
 	// Seed drives retry jitter and the health-sample traffic.
 	Seed int64
 }
 
-// withDefaults fills zero fields.
-func (c RolloutConfig) withDefaults(fleet int) RolloutConfig {
-	if c.Canaries <= 0 {
-		c.Canaries = 1
-	}
-	if c.WaveSize <= 0 {
-		c.WaveSize = fleet / 2
-		if c.WaveSize < 1 {
-			c.WaveSize = 1
-		}
-	}
-	if c.Gate.HealthPackets <= 0 {
-		c.Gate.HealthPackets = 128
-	}
-	if c.Gate.RateBudget <= 0 {
-		c.Gate.RateBudget = 0.02
-	}
-	if c.Policy.MaxAttempts < 1 {
-		c.Policy = DefaultRetryPolicy()
-	}
-	return c
-}
+// healthPackets is the probe window per router (baseline and post-commit).
+const healthPackets = 128
 
-// UpgradePhase is where one router ended up.
-type UpgradePhase int
-
-const (
-	// PhasePending: not yet attempted (or aborted before commit; retried on
-	// resume).
-	PhasePending UpgradePhase = iota
-	// PhaseStaged: new version staged but not committed (transient).
-	PhaseStaged
-	// PhaseCommitted: running the new version.
-	PhaseCommitted
-	// PhaseRolledBack: was committed, then restored to the previous version
-	// by the fleet-wide rollback.
-	PhaseRolledBack
-	// PhaseFailed: delivery never converged (lossy link, dead router);
-	// retried on resume.
-	PhaseFailed
-)
-
-func (p UpgradePhase) String() string {
-	switch p {
-	case PhasePending:
-		return "pending"
-	case PhaseStaged:
-		return "staged"
-	case PhaseCommitted:
-		return "committed"
-	case PhaseRolledBack:
-		return "rolled-back"
-	case PhaseFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
-}
-
-// HealthSample is one traffic measurement on one router.
-type HealthSample struct {
-	Processed uint64
-	// Events counts alarms plus architectural faults (watchdog trips are a
-	// subset of faults).
-	Events      uint64
-	Quarantines uint64
-}
-
-// Rate is events per processed packet (0 for an empty sample).
-func (h HealthSample) Rate() float64 {
-	if h.Processed == 0 {
-		return 0
-	}
-	return float64(h.Events) / float64(h.Processed)
-}
-
-// RouterOutcome is one router's rollout record.
+// RouterOutcome is one router's rollout record. Its Wave is the wave index
+// the router was upgraded in (0 = the canary wave, -1 = never attempted).
 type RouterOutcome struct {
 	DeviceID string
-	Phase    UpgradePhase
-	// Wave is the wave index the router was upgraded in (0 = canary wave,
-	// -1 = never attempted).
-	Wave     int
+	rollout.Unit
 	Delivery *DeliveryReport // nil when never attempted
-	Baseline HealthSample    // pre-upgrade traffic sample
-	After    HealthSample    // post-commit traffic sample (zero if not reached)
-	Err      error
 }
 
 // RolloutReport is the full outcome of UpgradeFleet. It is resumable: pass it
@@ -182,58 +89,40 @@ func (r *RolloutReport) Outcome(deviceID string) *RouterOutcome {
 	return nil
 }
 
-// committed lists indices of routers currently on the new version.
-func (r *RolloutReport) committed() []int {
-	var out []int
-	for i := range r.Outcomes {
-		if r.Outcomes[i].Phase == PhaseCommitted {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// sampleHealth runs n packets of deterministic traffic through a device and
-// returns the sample plus the raw stat deltas for fleet accounting.
-func sampleHealth(dev *core.Device, gen *packet.Generator, n int) (HealthSample, [3]uint64, error) {
-	pkts := make([][]byte, n)
-	for i := range pkts {
-		pkts[i] = gen.Next()
+// probeRouter runs healthPackets of deterministic traffic through one router
+// and folds the stat deltas into the fleet accounting.
+func probeRouter(dev *core.Device, seed int64, rep *RolloutReport) (rollout.Sample, error) {
+	gen := packet.NewGenerator(seed)
+	pkts := make([][]byte, healthPackets)
+	for k := range pkts {
+		pkts[k] = gen.Next()
 	}
 	before := dev.Stats()
 	_, err := dev.NP().ProcessBatch(pkts, 0)
 	after := dev.Stats()
-	h := HealthSample{
+	s := rollout.Sample{
 		Processed:   after.Processed - before.Processed,
-		Events:      (after.Alarms - before.Alarms) + (after.Faults - before.Faults),
+		Alarms:      after.Alarms - before.Alarms,
+		Faults:      after.Faults - before.Faults,
 		Quarantines: after.Quarantines - before.Quarantines,
 	}
-	deltas := [3]uint64{
-		after.Forwarded - before.Forwarded,
-		after.Dropped - before.Dropped,
-		after.Alarms - before.Alarms,
-	}
-	return h, deltas, err
-}
-
-// regressed applies the gate: a router regresses when its post-commit event
-// rate exceeds baseline plus budget, or the supervisor quarantined a core on
-// the new version.
-func (g UpgradeGate) regressed(base, after HealthSample) bool {
-	if after.Quarantines > 0 {
-		return true
-	}
-	return after.Rate() > base.Rate()+g.RateBudget
+	rep.Processed += s.Processed
+	rep.Forwarded += after.Forwarded - before.Forwarded
+	rep.Dropped += after.Dropped - before.Dropped
+	rep.Alarms += s.Alarms
+	rep.Faults += s.Faults
+	return s, err
 }
 
 // UpgradeFleet performs a staged, canaried, health-gated upgrade of the fleet
-// to app. Every router follows stage → commit → health check; the canary wave
-// commits first and gates the rest. On a health regression every committed
-// router (this run and, via prior, earlier runs) is rolled back to the
-// retained previous version. On delivery failure to a non-canary router the
-// rollout continues and the report is resumable: call UpgradeFleet again with
-// the returned report as prior and only the not-yet-committed routers are
-// attempted.
+// to app through the rollout engine. Every router follows stage → commit →
+// health check; the canary (one router) commits first and gates the rest,
+// and later waves take half the fleet each. On a health regression every
+// committed router (this run and, via prior, earlier runs) is rolled back to
+// the retained previous version. On delivery failure to a non-canary router
+// the rollout continues and the report is resumable: call UpgradeFleet
+// again with the returned report as prior and only the not-yet-committed
+// routers are attempted.
 //
 // devices must line up with prior.Outcomes when resuming (same IDs).
 func UpgradeFleet(op *core.Operator, devices []*core.Device, app *apps.App, cfg RolloutConfig, prior *RolloutReport) (*RolloutReport, error) {
@@ -243,8 +132,9 @@ func UpgradeFleet(op *core.Operator, devices []*core.Device, app *apps.App, cfg 
 	if cfg.Link == nil {
 		return nil, fmt.Errorf("network: rollout requires a link")
 	}
-	cfg = cfg.withDefaults(len(devices))
-	model := timing.NiosIIPrototype()
+	if cfg.Policy.MaxAttempts < 1 {
+		cfg.Policy = DefaultRetryPolicy()
+	}
 
 	rep := &RolloutReport{Outcomes: make([]RouterOutcome, len(devices))}
 	if prior != nil {
@@ -260,177 +150,146 @@ func UpgradeFleet(op *core.Operator, devices []*core.Device, app *apps.App, cfg 
 		rep.Alarms = prior.Alarms
 		rep.Faults = prior.Faults
 	}
+	units := make([]rollout.Unit, len(devices))
+	all := make([]int, len(devices))
 	var todo []int
 	for i, dev := range devices {
-		rep.Outcomes[i] = RouterOutcome{DeviceID: dev.ID, Phase: PhasePending, Wave: -1}
+		all[i] = i
+		rep.Outcomes[i] = RouterOutcome{DeviceID: dev.ID, Unit: rollout.Unit{Wave: -1}}
 		if prior != nil {
-			if po := prior.Outcome(dev.ID); po != nil && po.Phase == PhaseCommitted {
+			if po := prior.Outcome(dev.ID); po != nil && po.State == rollout.Committed {
 				rep.Outcomes[i] = *po
+				units[i] = po.Unit
 				continue
 			}
 		}
+		units[i] = rep.Outcomes[i].Unit
 		todo = append(todo, i)
 	}
 
-	// Wave plan: canaries first, then fixed-size waves over the remainder.
+	// Wave plan: one canary, then waves of half the fleet over the rest.
 	var waves [][]int
 	if len(todo) > 0 {
-		n := cfg.Canaries
-		if n > len(todo) {
-			n = len(todo)
-		}
-		waves = append(waves, todo[:n])
-		for rest := todo[n:]; len(rest) > 0; {
-			k := cfg.WaveSize
-			if k > len(rest) {
-				k = len(rest)
-			}
+		waves = append(waves, todo[:1])
+		size := max(len(devices)/2, 1)
+		for rest := todo[1:]; len(rest) > 0; {
+			k := min(size, len(rest))
 			waves = append(waves, rest[:k])
 			rest = rest[k:]
 		}
 	}
 
-	finish := func(reason string, err error) (*RolloutReport, error) {
-		rep.Reason = reason
-		rep.Conserved = true
-		for _, dev := range devices {
-			if !dev.Stats().Conserved() {
-				rep.Conserved = false
+	// stop is an infrastructure failure (packaging) that ends the rollout
+	// at the end of its wave; reason explains whatever ended the rollout.
+	var stop error
+	var reason string
+	model := timing.NiosIIPrototype()
+	t := rollout.Target{
+		Probe: func(i, wave int, post bool) (rollout.Sample, error) {
+			seed := cfg.Seed ^ int64(i)<<8 ^ int64(wave)
+			if post {
+				seed ^= 0x5a5a
 			}
-		}
-		rep.Completed = err == nil && !rep.RolledBack
-		for i := range rep.Outcomes {
-			if rep.Outcomes[i].Phase != PhaseCommitted {
-				rep.Completed = false
+			s, err := probeRouter(devices[i], seed, rep)
+			if err != nil && !post {
+				reason = fmt.Sprintf("baseline traffic on %s failed: %v", devices[i].ID, err)
+				err = fmt.Errorf("network: baseline on %s: %w", devices[i].ID, err)
 			}
-		}
-		publishRollout(rep, cfg.Link.Obs)
-		return rep, err
-	}
-	account := func(d [3]uint64, h HealthSample) {
-		rep.Processed += h.Processed
-		rep.Forwarded += d[0]
-		rep.Dropped += d[1]
-		rep.Alarms += d[2]
-		rep.Faults += h.Events - d[2]
-	}
-
-	for wv, wave := range waves {
-		rep.Waves = wv + 1
-		canaryWave := wv == 0
-		var committedThisWave []int
-
-		for _, i := range wave {
+			return s, err
+		},
+		// Stage packages the release for one router and delivers it over
+		// the lossy link with retries; the live version is untouched
+		// either way.
+		Stage: func(i, _ int) error {
 			dev := devices[i]
-			out := &rep.Outcomes[i]
-			out.Wave = wv
-
-			// Pre-upgrade baseline on live traffic: the old version keeps
-			// serving while everything below happens.
-			gen := packet.NewGenerator(cfg.Seed ^ int64(i)<<8 ^ int64(wv))
-			base, d, err := sampleHealth(dev, gen, cfg.Gate.HealthPackets)
-			account(d, base)
-			if err != nil {
-				return finish(fmt.Sprintf("baseline traffic on %s failed: %v", dev.ID, err),
-					fmt.Errorf("network: baseline on %s: %w", dev.ID, err))
-			}
-			out.Baseline = base
-
-			// Stage over the lossy link with retries; the live version is
-			// untouched whether this succeeds or not.
 			wire, err := op.ProgramWire(dev.Public(), app)
 			if err != nil {
-				return finish(fmt.Sprintf("packaging for %s failed", dev.ID),
-					fmt.Errorf("network: packaging for %s: %w", dev.ID, err))
+				err = fmt.Errorf("network: packaging for %s: %w", dev.ID, err)
+				if stop == nil {
+					stop, reason = err, fmt.Sprintf("packaging for %s failed", dev.ID)
+				}
+				return err
 			}
 			drep := deliverWithRetry(dev, wire, cfg.Link, cfg.Policy, model, cfg.Seed, (*core.Device).StageUpgrade)
-			out.Delivery = &drep
+			rep.Outcomes[i].Delivery = &drep
 			rep.Cost.AddDelivery(drep.WireSeconds, drep.ProcessSeconds, drep.BackoffSeconds,
 				drep.Attempts, drep.Err == nil)
 			if drep.Err != nil {
-				out.Err = drep.Err
-				if canaryWave {
-					// Nothing has committed anywhere: abort any staged
-					// canaries and leave the fleet exactly as it was.
-					for _, j := range wave {
-						devices[j].AbortUpgrade()
-						if rep.Outcomes[j].Phase == PhaseStaged {
-							rep.Outcomes[j].Phase = PhasePending
-						}
-					}
-					out.Phase = PhaseFailed
-					return finish(fmt.Sprintf("canary %s unreachable", dev.ID),
-						fmt.Errorf("%w: %s: %v", ErrCanaryDelivery, dev.ID, drep.Err))
-				}
-				out.Phase = PhaseFailed
-				continue
+				return drep.Err
 			}
-			out.Phase = PhaseStaged
 			if rep.Target == "" && drep.Install != nil {
 				rep.Target = drep.Install.App
 			}
-		}
-
-		// Commit the wave's staged routers, each cutting over at its own
-		// packet boundary.
-		for _, i := range wave {
-			if rep.Outcomes[i].Phase != PhaseStaged {
-				continue
-			}
+			return nil
+		},
+		Commit: func(i, _ int) error {
 			cycles, err := devices[i].CommitUpgrade()
 			rep.Cost.DrainCycles += cycles
+			return err
+		},
+		Rollback: func(i int) error {
+			cycles, err := devices[i].RollbackUpgrade()
+			rep.Cost.DrainCycles += cycles
 			if err != nil {
-				rep.Outcomes[i].Phase = PhaseFailed
-				rep.Outcomes[i].Err = err
-				continue
+				return fmt.Errorf("rollback on %s: %w", devices[i].ID, err)
 			}
-			rep.Outcomes[i].Phase = PhaseCommitted
-			committedThisWave = append(committedThisWave, i)
+			return nil
+		},
+		Abort: func(i int) { devices[i].AbortUpgrade() },
+	}
+	judge := func(wave int, ran []int) error {
+		if stop != nil {
+			return stop
 		}
-
-		// Health gate: every router committed this wave runs post-commit
-		// traffic and is compared to its own baseline.
-		for _, i := range committedThisWave {
-			dev := devices[i]
-			out := &rep.Outcomes[i]
-			gen := packet.NewGenerator(cfg.Seed ^ int64(i)<<8 ^ int64(wv) ^ 0x5a5a)
-			after, d, err := sampleHealth(dev, gen, cfg.Gate.HealthPackets)
-			account(d, after)
-			out.After = after
-			regressed := cfg.Gate.regressed(out.Baseline, after)
-			if err != nil {
-				// The new version took the whole NP down (all cores
-				// quarantined) — the strongest possible regression.
-				regressed = true
-			}
-			if !regressed {
+		if d := rep.Outcomes[ran[0]].Delivery; wave == 0 && d != nil && d.Err != nil {
+			// The canary never staged, so nothing has committed
+			// anywhere; the engine already aborted its stage.
+			c := devices[ran[0]].ID
+			reason = fmt.Sprintf("canary %s unreachable", c)
+			return fmt.Errorf("%w: %s: %v", ErrCanaryDelivery, c, d.Err)
+		}
+		for _, i := range ran {
+			u := &units[i]
+			if !(rollout.Gate{}).Regressed(*u) {
 				continue
 			}
-			out.Err = fmt.Errorf("%w: %s rate %.4f vs baseline %.4f (+%d quarantines)",
-				ErrHealthRegression, dev.ID, after.Rate(), out.Baseline.Rate(), after.Quarantines)
-
+			u.Err = fmt.Errorf("%w: %s rate %.4f vs baseline %.4f (+%d quarantines)",
+				ErrHealthRegression, devices[i].ID, u.After.Rate(), u.Baseline.Rate(), u.After.Quarantines)
 			// Fleet-wide rollback: every committed router — this wave,
-			// earlier waves, prior runs — returns to the retained version.
-			for _, j := range rep.committed() {
-				cycles, rbErr := devices[j].RollbackUpgrade()
-				rep.Cost.DrainCycles += cycles
-				if rbErr != nil {
-					rep.Outcomes[j].Err = fmt.Errorf("rollback on %s: %w", devices[j].ID, rbErr)
-					continue
-				}
-				rep.Outcomes[j].Phase = PhaseRolledBack
-			}
-			// Staged-but-uncommitted routers in later waves never existed;
-			// drop anything staged.
+			// earlier waves, prior runs — returns to the retained
+			// version, and nothing stays staged anywhere.
+			rollout.RollBack(t, units, all)
 			for _, dev := range devices {
 				dev.AbortUpgrade()
 			}
 			rep.RolledBack = true
-			return finish(fmt.Sprintf("health regression on %s; fleet rolled back", dev.ID), out.Err)
+			reason = fmt.Sprintf("health regression on %s; fleet rolled back", devices[i].ID)
+			return u.Err
+		}
+		return nil
+	}
+	var err error
+	rep.Waves, err = rollout.Run(t, units, waves, judge)
+	for i := range units {
+		rep.Outcomes[i].Unit = units[i]
+	}
+	if err != nil {
+		rep.Reason = reason
+	}
+	rep.Conserved = true
+	for _, dev := range devices {
+		if !dev.Stats().Conserved() {
+			rep.Conserved = false
 		}
 	}
-
-	return finish("", nil)
+	rep.Completed = err == nil && !rep.RolledBack
+	for i := range units {
+		if units[i].State != rollout.Committed {
+			rep.Completed = false
+		}
+	}
+	publishRollout(rep, cfg.Link.Obs)
+	return rep, err
 }
 
 // publishRollout exports a rollout report's running totals into the link's

@@ -9,6 +9,7 @@ import (
 	"sdmmon/internal/core"
 	"sdmmon/internal/fault"
 	"sdmmon/internal/npu"
+	"sdmmon/internal/rollout"
 )
 
 // upgradeFleet builds a supervised fleet with udpecho@1.0.0 installed and
@@ -78,8 +79,8 @@ func TestUpgradeFleetCleanZeroDowntime(t *testing.T) {
 		t.Fatalf("waves=%d, want canary wave + at least one more", rep.Waves)
 	}
 	for _, o := range rep.Outcomes {
-		if o.Phase != PhaseCommitted {
-			t.Fatalf("%s phase=%v", o.DeviceID, o.Phase)
+		if o.State != rollout.Committed {
+			t.Fatalf("%s phase=%v", o.DeviceID, o.State)
 		}
 	}
 	// Zero downtime, quantified: every sampled packet conserved, none lost
@@ -118,12 +119,12 @@ func TestUpgradeFleetBadCanaryAutoRollback(t *testing.T) {
 		t.Fatalf("rolledback=%v completed=%v", rep.RolledBack, rep.Completed)
 	}
 	allLive(t, devices, "udpecho@1.0.0")
-	if rep.Outcomes[0].Phase != PhaseRolledBack {
-		t.Fatalf("canary phase=%v, want rolled-back", rep.Outcomes[0].Phase)
+	if rep.Outcomes[0].State != rollout.RolledBack {
+		t.Fatalf("canary phase=%v, want rolled-back", rep.Outcomes[0].State)
 	}
 	for _, o := range rep.Outcomes[1:] {
-		if o.Phase != PhasePending || o.Wave != -1 {
-			t.Fatalf("%s was touched: phase=%v wave=%d", o.DeviceID, o.Phase, o.Wave)
+		if o.State != rollout.Pending || o.Wave != -1 {
+			t.Fatalf("%s was touched: phase=%v wave=%d", o.DeviceID, o.State, o.Wave)
 		}
 	}
 	if !rep.Conserved {
@@ -183,8 +184,8 @@ func TestUpgradeFleetDeadCanaryAbortsBeforeCommit(t *testing.T) {
 		t.Fatalf("completed=%v rolledback=%v", rep.Completed, rep.RolledBack)
 	}
 	allLive(t, devices, "udpecho@1.0.0")
-	if rep.Outcomes[0].Phase != PhaseFailed {
-		t.Fatalf("canary phase=%v", rep.Outcomes[0].Phase)
+	if rep.Outcomes[0].State != rollout.Failed {
+		t.Fatalf("canary phase=%v", rep.Outcomes[0].State)
 	}
 	for _, d := range devices {
 		if _, err := d.CommitUpgrade(); !errors.Is(err, npu.ErrNothingStaged) {
@@ -211,12 +212,12 @@ func TestUpgradeFleetResumesAfterFailedRouter(t *testing.T) {
 		t.Fatal("rollout with a dead router reported complete")
 	}
 	failed := rep.Outcome("router-2")
-	if failed == nil || failed.Phase != PhaseFailed {
+	if failed == nil || failed.State != rollout.Failed {
 		t.Fatalf("router-2 outcome: %+v", failed)
 	}
 	committed := 0
 	for _, o := range rep.Outcomes {
-		if o.Phase == PhaseCommitted {
+		if o.State == rollout.Committed {
 			committed++
 		}
 	}
@@ -234,8 +235,8 @@ func TestUpgradeFleetResumesAfterFailedRouter(t *testing.T) {
 		t.Fatalf("resume incomplete: %q", rep2.Reason)
 	}
 	for _, o := range rep2.Outcomes {
-		if o.Phase != PhaseCommitted {
-			t.Fatalf("%s phase=%v after resume", o.DeviceID, o.Phase)
+		if o.State != rollout.Committed {
+			t.Fatalf("%s phase=%v after resume", o.DeviceID, o.State)
 		}
 	}
 	// Already-committed routers were skipped, not re-delivered.
@@ -246,5 +247,72 @@ func TestUpgradeFleetResumesAfterFailedRouter(t *testing.T) {
 	// operator counter moved on); everyone is on some 1.4.x of udpecho.
 	if live, _ := devices[2].LiveApp(); live != rep2.Outcome("router-2").Delivery.Install.App {
 		t.Fatalf("router-2 live=%q", live)
+	}
+}
+
+// A regression in a later wave rolls back every committed router, the
+// earlier waves' included. Routers 0–2 already run the faulting release,
+// so shipping it again leaves their event rate where it was; router 3 runs
+// the clean echo, so in the last wave (canary, {1,2}, {3}) the same release
+// regresses against its own baseline. No supervisor: the faulting baseline
+// must not quarantine the cores before the rollout starts.
+func TestUpgradeFleetLaterWaveRegressionRollsBackAll(t *testing.T) {
+	mfr, err := core.NewManufacturer("acme", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.NewOperator("isp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mfr.Certify(op); err != nil {
+		t.Fatal(err)
+	}
+	op.SetAppVersion("udpecho", "1.0.0")
+	var devices []*core.Device
+	for i := 0; i < 4; i++ {
+		d, err := mfr.Manufacture(fmt.Sprintf("router-%d", i), core.DeviceConfig{Cores: 2, MonitorsEnabled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := apps.FaultyEcho()
+		if i == 3 {
+			app = apps.UDPEcho()
+		}
+		wire, err := op.ProgramWire(d.Public(), app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Install(wire); err != nil {
+			t.Fatal(err)
+		}
+		devices = append(devices, d)
+	}
+	op.SetAppVersion("udpecho", "2.0.0")
+	link := NewLossyLink(GigE(), fault.LinkFaults{}, 9)
+	rep, err := UpgradeFleet(op, devices, apps.FaultyEcho(), RolloutConfig{Link: link, Seed: 9}, nil)
+	if !errors.Is(err, ErrHealthRegression) {
+		t.Fatalf("err=%v, want ErrHealthRegression in the last wave", err)
+	}
+	if rep.Waves != 3 || !rep.RolledBack || rep.Completed {
+		t.Fatalf("waves=%d rolledback=%v completed=%v, want 3/true/false", rep.Waves, rep.RolledBack, rep.Completed)
+	}
+	for i, o := range rep.Outcomes {
+		if o.Wave != []int{0, 1, 1, 2}[i] {
+			t.Fatalf("%s upgraded in wave %d", o.DeviceID, o.Wave)
+		}
+		if o.State != rollout.RolledBack {
+			t.Fatalf("%s phase=%v, want rolled-back", o.DeviceID, o.State)
+		}
+	}
+	if o := rep.Outcomes[3]; o.Err == nil || o.After.Rate() <= o.Baseline.Rate() {
+		t.Fatalf("router-3 shows no regression: %+v", o)
+	}
+	allLive(t, devices, "udpecho@1.0.0")
+	if !rep.Conserved {
+		t.Fatal("accounting not conserved through rollback")
+	}
+	if rep.Cost.DrainCycles != 2*4*2*64 { // commit + rollback x routers x cores
+		t.Fatalf("DrainCycles=%d, want %d", rep.Cost.DrainCycles, 2*4*2*64)
 	}
 }

@@ -1,15 +1,14 @@
 package tenant
 
-// Tenant-scoped canary rollouts: the fleet-rollout discipline of
-// internal/network (canary first, health gate against the unit's own
-// baseline, automatic rollback on regression) applied to one tenant's
-// protection domain across the plane's NPs. Every step addresses cores
-// through the tenant's domain name — StageInstallDomainAll,
-// CommitDomainAll, RollbackDomainAll — so the rollout is structurally
-// unable to touch another tenant's slots: the npu layer refuses
-// out-of-domain cores before any state moves, and the isolation test
-// byte-compares a bystander's telemetry across a hostile rollout to prove
-// it.
+// Tenant-scoped canary rollouts: the internal/rollout wave engine (canary
+// first, health gate against the unit's own baseline, automatic rollback on
+// regression) applied to one tenant's protection domain across the plane's
+// NPs. Every step addresses cores through the tenant's domain name —
+// StageInstallDomainAll, CommitDomainAll, RollbackDomainAll — so the
+// rollout is structurally unable to touch another tenant's slots: the npu
+// layer refuses out-of-domain cores before any state moves, and the
+// isolation test byte-compares a bystander's telemetry across a hostile
+// rollout to prove it.
 
 import (
 	"errors"
@@ -17,6 +16,7 @@ import (
 
 	"sdmmon/internal/npu"
 	"sdmmon/internal/packet"
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
 
@@ -25,57 +25,14 @@ import (
 // it had committed.
 var ErrHealthRegression = errors.New("tenant: health regression; domain rolled back")
 
-// Gate parameterizes the per-NP health check of a tenant rollout.
-type Gate struct {
-	// HealthPackets per sample (baseline and post-commit). Default 128.
-	HealthPackets int
-	// RateBudget is the tolerated event-rate increase (alarms+faults per
-	// processed packet) over the baseline. Default 0.02.
-	RateBudget float64
-}
-
-func (g Gate) withDefaults() Gate {
-	if g.HealthPackets <= 0 {
-		g.HealthPackets = 128
-	}
-	if g.RateBudget <= 0 {
-		g.RateBudget = 0.02
-	}
-	return g
-}
-
-// HealthSample is one traffic measurement on one NP's tenant domain.
-type HealthSample struct {
-	Processed   uint64
-	Events      uint64 // alarms + faults
-	Quarantines uint64
-}
-
-// Rate is events per processed packet (0 for an empty sample).
-func (h HealthSample) Rate() float64 {
-	if h.Processed == 0 {
-		return 0
-	}
-	return float64(h.Events) / float64(h.Processed)
-}
-
-// regressed applies the gate: post-commit event rate above baseline plus
-// budget, or any quarantine on the new version.
-func (g Gate) regressed(base, after HealthSample) bool {
-	if after.Quarantines > 0 {
-		return true
-	}
-	return after.Rate() > base.Rate()+g.RateBudget
-}
+// errCommit marks a commit that failed after its stage was accepted; the
+// rollout rolls the tenant back everywhere it committed.
+var errCommit = errors.New("tenant: commit")
 
 // NPOutcome records one NP's part in a tenant rollout.
 type NPOutcome struct {
-	NP         int
-	Committed  bool
-	RolledBack bool
-	Baseline   HealthSample
-	After      HealthSample
-	Err        error
+	NP int
+	rollout.Unit
 }
 
 // Report is the outcome of one tenant rollout.
@@ -95,49 +52,52 @@ type Report struct {
 // and measures the domain's own outcome. The batch-local delta (DrainBatch
 // reports exactly this batch's counters) plus the domain quarantine delta
 // make the sample immune to concurrent traffic on other tenants' cores.
-func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (HealthSample, error) {
+func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (rollout.Sample, error) {
 	pkts := make([][]byte, n)
 	for i := range pkts {
 		pkts[i] = gen.Next()
 	}
 	before, err := np.StatsDomain(domain)
 	if err != nil {
-		return HealthSample{}, err
+		return rollout.Sample{}, err
 	}
 	out, derr := np.DrainBatchDomain(domain, pkts, 0)
 	after, err := np.StatsDomain(domain)
 	if err != nil {
-		return HealthSample{}, err
+		return rollout.Sample{}, err
 	}
-	h := HealthSample{
+	h := rollout.Sample{
 		Processed:   out.Processed,
-		Events:      out.Alarms + out.Faults,
+		Alarms:      out.Alarms,
+		Faults:      out.Faults,
 		Quarantines: after.Quarantines - before.Quarantines,
 	}
 	return h, derr
 }
 
 // Rollout performs a canaried, health-gated upgrade of one tenant's domain
-// across every NP. The canary is the tenant's own slots on NP 0: stage,
-// commit at a packet boundary, then compare the domain's post-commit event
-// rate against its own pre-upgrade baseline. A regression rolls the
-// tenant's domain back everywhere it committed (and discards anything
-// staged) and returns ErrHealthRegression; no other tenant's slots are
-// touched at any point, in success or failure. On success the tenant's
-// anti-downgrade ledger advances to the bundle's sequence.
-func (m *Manager) Rollout(tenant string, b AppBundle, gate Gate, seed int64) (*Report, error) {
+// across every NP through the rollout engine, one NP per wave. The canary
+// is the tenant's own slots on NP 0: stage, commit at a packet boundary,
+// then compare the domain's post-commit event rate against its own
+// pre-upgrade baseline (gate.HealthPackets per sample, default 128). A
+// regression rolls the tenant's domain back on every NP it committed,
+// newest first, discards anything staged and returns ErrHealthRegression;
+// a failed commit does the same and returns the commit's error. A refused
+// stage or a failed baseline stops the rollout where it is. No other tenant's slots are touched at any point, in
+// success or failure. On success the tenant's anti-downgrade ledger
+// advances to the bundle's sequence.
+func (m *Manager) Rollout(tenant string, b AppBundle, gate rollout.Gate, seed int64) (*Report, error) {
 	ts, err := m.state(tenant)
 	if err != nil {
 		return nil, err
 	}
-	gate = gate.withDefaults()
+	if gate.HealthPackets <= 0 {
+		gate.HealthPackets = 128
+	}
 	rep := &Report{
 		Tenant:   tenant,
 		Target:   b.target(),
 		Outcomes: make([]NPOutcome, len(m.nps)),
-	}
-	for i := range rep.Outcomes {
-		rep.Outcomes[i].NP = i
 	}
 	finish := func(reason string, err error) (*Report, error) {
 		rep.Reason = reason
@@ -164,66 +124,81 @@ func (m *Manager) Rollout(tenant string, b AppBundle, gate Gate, seed int64) (*R
 		return finish("bundle build failed", err)
 	}
 
-	// abortAll discards anything staged (idempotent per NP) and rolls the
-	// committed NPs back, newest first.
-	rollbackAll := func(committed []int) {
-		for _, np := range m.nps {
-			_ = np.AbortStagedDomain(tenant)
-		}
-		for i := len(committed) - 1; i >= 0; i-- {
-			j := committed[i]
-			if _, err := m.nps[j].RollbackDomainAll(tenant); err != nil {
-				rep.Outcomes[j].Err = fmt.Errorf("rollback on NP %d: %w", j, err)
-				continue
+	// Every action addresses cores through the tenant's domain name.
+	t := rollout.Target{
+		Probe: func(i, _ int, post bool) (rollout.Sample, error) {
+			gs := seed ^ int64(i)<<8
+			if post {
+				gs ^= 0x5a5a
 			}
-			rep.Outcomes[j].Committed = false
-			rep.Outcomes[j].RolledBack = true
+			s, err := sampleDomain(m.nps[i], tenant, packet.NewGenerator(gs), gate.HealthPackets)
+			if err != nil && !post {
+				err = fmt.Errorf("tenant: baseline on NP %d: %w", i, err)
+			}
+			return s, err
+		},
+		Stage: func(i, _ int) error {
+			if err := m.nps[i].StageInstallDomainAll(tenant, b.App.Name, binary, graph, b.Param); err != nil {
+				return fmt.Errorf("tenant: stage on NP %d: %w", i, err)
+			}
+			return nil
+		},
+		Commit: func(i, _ int) error {
+			if _, err := m.nps[i].CommitDomainAll(tenant); err != nil {
+				return fmt.Errorf("%w on NP %d: %w", errCommit, i, err)
+			}
+			return nil
+		},
+		Rollback: func(i int) error {
+			if _, err := m.nps[i].RollbackDomainAll(tenant); err != nil {
+				return fmt.Errorf("rollback on NP %d: %w", i, err)
+			}
+			return nil
+		},
+		Abort: func(i int) { _ = m.nps[i].AbortStagedDomain(tenant) },
+	}
+	units := make([]rollout.Unit, len(m.nps))
+	waves := make([][]int, len(m.nps))
+	newestFirst := make([]int, len(m.nps))
+	for i := range units {
+		units[i].Wave = -1
+		waves[i] = []int{i}
+		newestFirst[i] = len(m.nps) - 1 - i
+	}
+	var reason string
+	judge := func(_ int, ran []int) error {
+		i := ran[0]
+		u := &units[i]
+		switch {
+		case u.State == rollout.Failed && !errors.Is(u.Err, errCommit):
+			reason = fmt.Sprintf("stage on NP %d refused", i)
+			return u.Err
+		case u.State == rollout.Failed:
+			reason = fmt.Sprintf("commit on NP %d failed", i)
+		case gate.Regressed(*u):
+			reason = fmt.Sprintf("health regression on NP %d; tenant domain rolled back", i)
+			u.Err = fmt.Errorf("%w: %s on NP %d rate %.4f vs baseline %.4f (+%d quarantines)",
+				ErrHealthRegression, tenant, i, u.After.Rate(), u.Baseline.Rate(), u.After.Quarantines)
+		default:
+			return nil
 		}
+		for j := range m.nps {
+			t.Abort(j)
+		}
+		rollout.RollBack(t, units, newestFirst)
 		ts.mRollbacks.Inc()
 		rep.RolledBack = true
+		return u.Err
 	}
-
-	var committed []int
-	for i, np := range m.nps {
-		rep.Waves = i + 1
-		out := &rep.Outcomes[i]
-
-		gen := packet.NewGenerator(seed ^ int64(i)<<8)
-		base, err := sampleDomain(np, tenant, gen, gate.HealthPackets)
-		if err != nil {
-			return finish(fmt.Sprintf("baseline on NP %d failed", i),
-				fmt.Errorf("tenant: baseline on NP %d: %w", i, err))
+	rep.Waves, err = rollout.Run(t, units, waves, judge)
+	for i := range units {
+		rep.Outcomes[i] = NPOutcome{NP: i, Unit: units[i]}
+	}
+	if err != nil {
+		if reason == "" {
+			reason = fmt.Sprintf("baseline on NP %d failed", rep.Waves-1)
 		}
-		out.Baseline = base
-
-		if err := np.StageInstallDomainAll(tenant, b.App.Name, binary, graph, b.Param); err != nil {
-			_ = np.AbortStagedDomain(tenant)
-			return finish(fmt.Sprintf("stage on NP %d refused", i),
-				fmt.Errorf("tenant: stage on NP %d: %w", i, err))
-		}
-		if _, err := np.CommitDomainAll(tenant); err != nil {
-			rollbackAll(committed)
-			return finish(fmt.Sprintf("commit on NP %d failed", i),
-				fmt.Errorf("tenant: commit on NP %d: %w", i, err))
-		}
-		out.Committed = true
-		committed = append(committed, i)
-
-		gen = packet.NewGenerator(seed ^ int64(i)<<8 ^ 0x5a5a)
-		after, err := sampleDomain(np, tenant, gen, gate.HealthPackets)
-		out.After = after
-		regressed := gate.regressed(base, after)
-		if err != nil {
-			// The new version took the whole domain down — the strongest
-			// possible regression.
-			regressed = true
-		}
-		if regressed {
-			out.Err = fmt.Errorf("%w: %s on NP %d rate %.4f vs baseline %.4f (+%d quarantines)",
-				ErrHealthRegression, tenant, i, after.Rate(), base.Rate(), after.Quarantines)
-			rollbackAll(committed)
-			return finish(fmt.Sprintf("health regression on NP %d; tenant domain rolled back", i), out.Err)
-		}
+		return finish(reason, err)
 	}
 
 	if b.Sequence > 0 {

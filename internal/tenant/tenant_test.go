@@ -9,6 +9,8 @@ import (
 	"sdmmon/internal/apps"
 	"sdmmon/internal/npu"
 	"sdmmon/internal/obs"
+	"sdmmon/internal/packet"
+	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
 
@@ -161,7 +163,7 @@ func TestRolloutCleanUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, Gate{}, 42)
+	rep, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, rollout.Gate{}, 42)
 	if err != nil {
 		t.Fatalf("clean rollout: %v (reason %q)", err, rep.Reason)
 	}
@@ -172,7 +174,7 @@ func TestRolloutCleanUpgrade(t *testing.T) {
 		t.Fatalf("waves = %d, want 3", rep.Waves)
 	}
 	for _, out := range rep.Outcomes {
-		if !out.Committed || out.RolledBack || out.Err != nil {
+		if out.State != rollout.Committed || out.Err != nil {
 			t.Fatalf("NP %d outcome %+v, want committed", out.NP, out)
 		}
 		if out.Baseline.Processed == 0 || out.After.Processed == 0 {
@@ -188,7 +190,7 @@ func TestRolloutCleanUpgrade(t *testing.T) {
 
 	// The completed sequence is now the floor: replaying it is refused
 	// before anything stages.
-	if _, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1", Sequence: 2}, Gate{}, 43); !errors.Is(err, seccrypto.ErrDowngrade) {
+	if _, err := mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1", Sequence: 2}, rollout.Gate{}, 43); !errors.Is(err, seccrypto.ErrDowngrade) {
 		t.Fatalf("replayed rollout sequence: err = %v, want ErrDowngrade", err)
 	}
 }
@@ -223,7 +225,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	}
 
 	bad := AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}
-	rep, err := mgr.Rollout("a", bad, Gate{HealthPackets: 32}, 99)
+	rep, err := mgr.Rollout("a", bad, rollout.Gate{HealthPackets: 32}, 99)
 	if !errors.Is(err, ErrHealthRegression) {
 		t.Fatalf("faulty rollout: err = %v, want ErrHealthRegression", err)
 	}
@@ -233,10 +235,10 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	if rep.Waves != 1 {
 		t.Fatalf("regression escaped the canary: waves = %d, want 1", rep.Waves)
 	}
-	if out := rep.Outcomes[0]; !out.RolledBack || out.Committed {
+	if out := rep.Outcomes[0]; out.State != rollout.RolledBack {
 		t.Fatalf("canary outcome %+v, want rolled back", out)
 	}
-	if rep.Outcomes[1].Committed || rep.Outcomes[1].RolledBack {
+	if rep.Outcomes[1].State != rollout.Pending {
 		t.Fatalf("NP 1 was touched by a canary-stage regression: %+v", rep.Outcomes[1])
 	}
 	if got := counterVal(col, "tenant_rollbacks_total", "a"); got != 1 {
@@ -275,7 +277,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	if hw, _ := mgr.HighWater("a", "udpecho"); hw != 1 {
 		t.Fatalf("rolled-back rollout advanced the ledger to %d", hw)
 	}
-	rep, err = mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1-fixed", Sequence: 2}, Gate{}, 100)
+	rep, err = mgr.Rollout("a", AppBundle{App: apps.UDPEcho(), Param: 0xA3, Version: "1.1-fixed", Sequence: 2}, rollout.Gate{}, 100)
 	if err != nil || !rep.Completed {
 		t.Fatalf("retry with fixed release: err=%v report %+v", err, rep)
 	}
@@ -297,7 +299,7 @@ func TestRolloutQuarantineGate(t *testing.T) {
 	if err := mgr.Install("b", AppBundle{App: apps.IPv4CM(), Param: 0xB1, Sequence: 1}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Sequence: 2}, Gate{HealthPackets: 32}, 7)
+	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Sequence: 2}, rollout.Gate{HealthPackets: 32}, 7)
 	if !errors.Is(err, ErrHealthRegression) {
 		t.Fatalf("err = %v, want ErrHealthRegression", err)
 	}
@@ -410,5 +412,50 @@ func TestMeasureIsolation(t *testing.T) {
 	if multi.MinPktsPerSec < 0.5*base.MinPktsPerSec {
 		t.Fatalf("isolation broken: 4-tenant min %.0f vs single-tenant %.0f pkts/sec",
 			multi.MinPktsPerSec, base.MinPktsPerSec)
+	}
+}
+
+// TestRolloutLaterNPRegressionRollsBackAll pins the tenant rollback scope:
+// a regression on the last NP rolls the tenant's domain back on every NP it
+// committed, not only the one that regressed. NPs 0 and 1 already run the
+// faulting release, so shipping it again does not raise their event rate;
+// NP 2's domain runs the clean echo, so the same release regresses there.
+func TestRolloutLaterNPRegressionRollsBackAll(t *testing.T) {
+	mgr := twoTenantMgr(t, 3, nil, npu.SupervisorConfig{})
+	defer mgr.Close()
+	if err := mgr.Install("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA1, Version: "1.0", Sequence: 1}); err != nil {
+		t.Fatal(err)
+	}
+	clean, graph, err := build(AppBundle{App: apps.UDPEcho(), Param: 0xA1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.nps[2].InstallDomainAll("a", "udpecho", clean, graph, 0xA1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, rollout.Gate{HealthPackets: 32}, 5)
+	if !errors.Is(err, ErrHealthRegression) {
+		t.Fatalf("err = %v, want ErrHealthRegression at NP 2", err)
+	}
+	if rep.Waves != 3 || !rep.RolledBack || rep.Completed {
+		t.Fatalf("report waves=%d rolledback=%v completed=%v, want 3/true/false", rep.Waves, rep.RolledBack, rep.Completed)
+	}
+	for _, out := range rep.Outcomes {
+		if out.State != rollout.RolledBack {
+			t.Fatalf("NP %d outcome %+v, want rolled back", out.NP, out)
+		}
+	}
+	for i, np := range mgr.nps {
+		if p, ok := np.ParamOn(0); !ok || p != 0xA1 {
+			t.Fatalf("NP %d core 0 param %#x ok=%v after rollback, want 0xA1", i, p, ok)
+		}
+	}
+	// NP 2 is back on the clean echo (FaultyEcho shares its name and
+	// parameter, so only the traffic tells them apart).
+	if h, err := sampleDomain(mgr.nps[2], "a", packet.NewGenerator(1), 16); err != nil || h.Rate() != 0 {
+		t.Fatalf("NP 2 after rollback: sample %+v err %v, want the clean echo", h, err)
+	}
+	if hw, _ := mgr.HighWater("a", "udpecho"); hw != 1 {
+		t.Fatalf("rolled-back rollout advanced the ledger to %d", hw)
 	}
 }
