@@ -343,7 +343,8 @@ func BenchmarkBitcountHash(b *testing.B) {
 }
 
 // BenchmarkMonitorImplementations compares the map-based reference monitor
-// with the packed (hardware-layout, bitmap) monitor on the same stream.
+// with the packed monitor (the hardware layout compiled to a transition
+// table) on the same stream, both hashing uncached.
 func BenchmarkMonitorImplementations(b *testing.B) {
 	prog, err := apps.IPv4CM().Program()
 	if err != nil {

@@ -151,6 +151,44 @@ func TestCertCheckOnlyOnce(t *testing.T) {
 	}
 }
 
+// The pin covers the whole certificate, not only its key: after the first
+// install, a package whose certificate signature lost one bit in transit
+// gets the full certificate check and is refused, while the intact
+// certificate still skips it.
+func TestCertPinCoversCertificateBytes(t *testing.T) {
+	f := getFixture(t)
+	dev, err := f.mfr.Manufacture("router-pin", DeviceConfig{Cores: 1, MonitorsEnabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire1, err := f.op.ProgramWire(dev.Public(), apps.Counter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Install(wire1); err != nil {
+		t.Fatal(err)
+	}
+	wire2, err := f.op.ProgramWire(dev.Public(), apps.UDPEcho())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := seccrypto.UnmarshalPackage(wire2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg.Cert.Signature[len(pkg.Cert.Signature)/2] ^= 0x01
+	if _, err := dev.Install(pkg.Marshal()); !errors.Is(err, seccrypto.ErrBadCertificate) {
+		t.Fatalf("reinstall with a flipped certificate signature: err=%v, want ErrBadCertificate", err)
+	}
+	rep, err := dev.Install(wire2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CertChecked {
+		t.Error("the pinned certificate was checked again")
+	}
+}
+
 // SR1 end to end: rogue operator's package refused.
 func TestSR1EndToEnd(t *testing.T) {
 	f := getFixture(t)

@@ -21,12 +21,13 @@ type Device struct {
 	newHasher func(uint32) mhash.Hasher
 
 	installs []InstallReport
-	// pinnedOperatorKey is the operator public key (DER) pinned after the
-	// first successful certificate verification. Later installs skip the
-	// certificate check (the §4.2 optimization) only when the presented
-	// certificate carries this exact key — skipping unconditionally would
-	// let any self-signed certificate through.
-	pinnedOperatorKey []byte
+	// pinnedCert is the operator certificate pinned after the first
+	// successful verification. Later installs skip the certificate check
+	// (the §4.2 optimization) only when the presented certificate is this
+	// one, byte for byte: skipping unconditionally would let any
+	// self-signed certificate through, and skipping on the key alone would
+	// accept certificate bytes nobody checked.
+	pinnedCert *seccrypto.Certificate
 	// revoked lists certificate serials this device refuses (an extension
 	// beyond the paper: operator key rotation needs a way to retire the
 	// old certificate).
@@ -58,9 +59,23 @@ func (d *Device) RevokeCertificate(serial uint64, keyDER []byte) {
 		d.revoked = map[uint64]bool{}
 	}
 	d.revoked[serial] = true
-	if keyDER != nil && bytes.Equal(d.pinnedOperatorKey, keyDER) {
-		d.pinnedOperatorKey = nil
+	if keyDER != nil && d.pinnedCert != nil && bytes.Equal(d.pinnedCert.KeyDER, keyDER) {
+		d.pinnedCert = nil
 	}
+}
+
+// pinned reports whether c is the pinned certificate: every field equal,
+// which is every byte of its wire form.
+func (d *Device) pinned(c *seccrypto.Certificate) bool {
+	p := d.pinnedCert
+	return c != nil && p != nil && c.Subject == p.Subject && c.Serial == p.Serial &&
+		bytes.Equal(c.KeyDER, p.KeyDER) && bytes.Equal(c.Signature, p.Signature)
+}
+
+// pin pins a certificate that verified (or was the pinned one already).
+func (d *Device) pin(c *seccrypto.Certificate) {
+	d.pinnedCert = &seccrypto.Certificate{Subject: c.Subject, Serial: c.Serial,
+		KeyDER: bytes.Clone(c.KeyDER), Signature: bytes.Clone(c.Signature)}
 }
 
 // Public returns the device's public identity for the operator inventory.
@@ -108,8 +123,7 @@ func (d *Device) open(wire []byte) (pkg *seccrypto.Package, bundle *seccrypto.Bu
 		return nil, nil, ops, false, fmt.Errorf("core: certificate serial %d revoked: %w",
 			pkg.Cert.Serial, seccrypto.ErrBadCertificate)
 	}
-	skipCert = pkg.Cert != nil && d.pinnedOperatorKey != nil &&
-		bytes.Equal(pkg.Cert.KeyDER, d.pinnedOperatorKey)
+	skipCert = d.pinned(pkg.Cert)
 	bundle, ops, err = d.identity.OpenPackage(pkg, skipCert)
 	if err != nil {
 		return nil, nil, ops, skipCert, err
@@ -144,7 +158,7 @@ func (d *Device) install(wire []byte, coreID int) (rep *InstallReport, err error
 	if err != nil {
 		return nil, err
 	}
-	d.pinnedOperatorKey = append([]byte(nil), pkg.Cert.KeyDER...)
+	d.pin(pkg.Cert)
 
 	r := InstallReport{
 		App:          name,
@@ -172,7 +186,7 @@ func (d *Device) StageUpgrade(wire []byte) (rep *InstallReport, err error) {
 	if err := d.np.StageInstallAll(name, bundle.Binary, bundle.Graph, bundle.HashParam); err != nil {
 		return nil, err
 	}
-	d.pinnedOperatorKey = append([]byte(nil), pkg.Cert.KeyDER...)
+	d.pin(pkg.Cert)
 	r := InstallReport{
 		App:          name,
 		WireBytes:    len(wire),
@@ -235,8 +249,7 @@ func (d *Device) InstallResident(wire []byte, name string) (rep *InstallReport, 
 		return nil, fmt.Errorf("core: certificate serial %d revoked: %w",
 			pkg.Cert.Serial, seccrypto.ErrBadCertificate)
 	}
-	skipCert := pkg.Cert != nil && d.pinnedOperatorKey != nil &&
-		bytes.Equal(pkg.Cert.KeyDER, d.pinnedOperatorKey)
+	skipCert := d.pinned(pkg.Cert)
 	bundle, ops, err := d.identity.OpenPackage(pkg, skipCert)
 	if err != nil {
 		return nil, err
@@ -245,7 +258,7 @@ func (d *Device) InstallResident(wire []byte, name string) (rep *InstallReport, 
 	if err := d.np.LoadLibrary(name, bundle.Binary, bundle.Graph, bundle.HashParam); err != nil {
 		return nil, err
 	}
-	d.pinnedOperatorKey = append([]byte(nil), pkg.Cert.KeyDER...)
+	d.pin(pkg.Cert)
 	r := InstallReport{
 		App:          name,
 		WireBytes:    len(wire),

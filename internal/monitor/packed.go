@@ -16,9 +16,11 @@ import (
 //
 // with kind ∈ {direct, branch, indirect, terminal}. Direct nodes use field0
 // as the successor index; branch nodes use both fields; indirect nodes
-// (register jumps) use field0 as an offset into a shared fan-out table and
-// field1 as the fan-out count; terminal nodes use neither. The fan-out
-// table is a dense array of idxBits-wide successor indices.
+// (register jumps) use both fields as one 2*idxBits offset into a shared
+// fan-out table (field0 holds its low bits); terminal nodes use neither.
+// The fan-out table is a dense array of idxBits-wide successor indices,
+// followed by one idxBits-wide fan-out count per indirect node, in node
+// order.
 type PackedGraph struct {
 	Width   int // hash width W
 	IdxBits int // bits per node index
@@ -61,7 +63,6 @@ func Pack(g *Graph) (*PackedGraph, error) {
 	}
 	p.Entry = entry
 
-	recBits := g.Width + 2 + 2*idxBits
 	for _, a := range p.addrs {
 		node := g.Node(a)
 		p.bits.write(uint64(node.Hash), g.Width)
@@ -88,14 +89,7 @@ func Pack(g *Graph) (*PackedGraph, error) {
 				p.fanout.write(uint64(index[s]), idxBits)
 				p.fanoutEntries++
 			}
-			// The count is packed into the second field by splitting the
-			// combined 2*idxBits payload: high half offset, low half count
-			// would overflow for big tables, so instead the offset uses
-			// both fields and the count is recovered by a sentinel-free
-			// length prefix below. Simpler and robust: store the count in
-			// a side array of idxBits entries, one per indirect node.
 		}
-		_ = recBits
 	}
 	// Second pass for indirect counts (kept as a separate dense array so
 	// node records stay single-width).
@@ -146,7 +140,7 @@ func (p *PackedGraph) Unpack() (*Graph, error) {
 		case pkBranch:
 			n.Succ = []uint32{p.addrs[f0], p.addrs[f1]}
 		case pkIndirect:
-			pend = append(pend, pendingIndirect{node: n, offset: int(f0<<p.IdxBits | f1)})
+			pend = append(pend, pendingIndirect{node: n, offset: int(f1<<p.IdxBits | f0)})
 		}
 		g.nodes[n.Addr] = n
 		g.order = append(g.order, n.Addr)
@@ -211,13 +205,14 @@ func (b *bitstream) reader() *bitreader { return &bitreader{b: b} }
 
 func (r *bitreader) read(bits int) uint64 {
 	var v uint64
-	for i := 0; i < bits; i++ {
-		word := r.pos / 64
-		off := uint(r.pos % 64)
-		if word < len(r.b.words) && r.b.words[word]&(1<<off) != 0 {
-			v |= 1 << uint(i)
+	for got := 0; got < bits; {
+		word, off := r.pos/64, uint(r.pos%64)
+		n := min(bits-got, 64-int(off))
+		if word < len(r.b.words) {
+			v |= (r.b.words[word] >> off) & (1<<uint(n) - 1) << uint(got)
 		}
-		r.pos++
+		got += n
+		r.pos += n
 	}
 	return v
 }

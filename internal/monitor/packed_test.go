@@ -118,31 +118,36 @@ func TestPackedSizes(t *testing.T) {
 	}
 }
 
-// multiCallSrc has three call sites of one function, so its jr $ra carries
-// three successors — exercising the packed layout's indirect fan-out table.
+// multiCallSrc has three call sites of two functions, so each jr $ra
+// carries three successors — exercising the packed layout's indirect
+// fan-out table at a zero and a nonzero offset.
 const multiCallSrc = `
 	.text 0x0
 main:
 	jal leaf
 	jal leaf
-	jal leaf
+	jal leaf2
 	break
 leaf:
 	addu $v0, $zero, $zero
+	jr $ra
+leaf2:
+	addiu $v0, $zero, 1
 	jr $ra
 `
 
 func TestPackedIndirectFanout(t *testing.T) {
 	p, g, h := buildGraph(t, multiCallSrc, 0x1D1)
-	// Confirm the premise: some node has more than two successors.
-	wide := false
+	// Confirm the premise: two nodes have more than two successors, so
+	// the second one's fan-out offset is not zero.
+	wide := 0
 	for _, a := range g.Addrs() {
 		if len(g.Node(a).Succ) > 2 {
-			wide = true
+			wide++
 		}
 	}
-	if !wide {
-		t.Fatal("test premise broken: no indirect fan-out in the graph")
+	if wide < 2 {
+		t.Fatalf("test premise broken: %d indirect fan-outs in the graph, want 2", wide)
 	}
 	pk, err := Pack(g)
 	if err != nil {
