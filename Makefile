@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant bench fuzz experiments examples verilog clean
+.PHONY: all check build vet fmt-check test test-short test-race test-obs test-faults test-rollout test-shard test-threat test-fleet test-campaign test-tenant bench size fuzz experiments examples verilog clean
 
 all: check
 
@@ -114,6 +114,21 @@ test-tenant:
 # regenerates the virtual-time model series in BENCH_npu.json.
 bench:
 	bash bench/run.sh -workload all -seed 1
+
+# The two code-size numbers ROADMAP.md tracks, each by one fixed method:
+# non-test Go lines of the root module (bench/ and .bench_build/ are not
+# counted), and exported functions and methods (`^func` lines naming an
+# exported identifier) in the non-test files of internal/ and cmd/, in
+# total and per package.
+EXPORTED_FUNC = '^func (\([^)]*\) )?[A-Z]'
+size:
+	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' \
+		! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
+	@printf 'exported funcs in internal/ and cmd/: '; find internal cmd -name '*.go' \
+		! -name '*_test.go' -exec grep -hE $(EXPORTED_FUNC) {} + | wc -l
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' \
+			-exec grep -hE $(EXPORTED_FUNC) {} + | wc -l) $$d; done
 
 # Brief fuzzing pass over the attacker-facing parsers and the data plane.
 fuzz:

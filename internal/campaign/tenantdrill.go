@@ -257,27 +257,26 @@ func runTenantEnv(seed int64, hostile bool) (*TenantDrillRun, error) {
 	}
 	mgr.Close()
 
-	run := &TenantDrillRun{}
-	if run.Victim, err = plane.TenantStatsFor(tdVictim); err != nil {
+	// The manager's snapshots read each tenant's plane accounting and its
+	// per-NP domain accounts through the views it resolved at New.
+	victim, err := mgr.Snapshot(tdVictimName)
+	if err != nil {
 		return nil, err
 	}
-	if run.Bystander, err = plane.TenantStatsFor(tdBystander); err != nil {
+	bystander, err := mgr.Snapshot(tdBystanderName)
+	if err != nil {
 		return nil, err
+	}
+	run := &TenantDrillRun{
+		Victim:           victim.Plane,
+		Bystander:        bystander.Plane,
+		BystanderDomains: bystander.Domains,
+	}
+	for _, vs := range victim.Domains {
+		run.VictimQuarantines += vs.Quarantines
 	}
 	if run.BystanderBytes, err = col.Snapshot().FilterLabel("tenant", tdBystanderName).MarshalCanonical(); err != nil {
 		return nil, err
-	}
-	for _, np := range nps {
-		ds, err := np.StatsDomain(tdBystanderName)
-		if err != nil {
-			return nil, err
-		}
-		run.BystanderDomains = append(run.BystanderDomains, ds)
-		vs, err := np.StatsDomain(tdVictimName)
-		if err != nil {
-			return nil, err
-		}
-		run.VictimQuarantines += vs.Quarantines
 	}
 	return run, nil
 }

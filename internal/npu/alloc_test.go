@@ -82,3 +82,51 @@ func TestProcessBatchAmortizedAllocs(t *testing.T) {
 		t.Fatalf("batch path allocates %.3f objects/packet (%.0f/batch), want <= 0.1", perPacket, allocs)
 	}
 }
+
+// TestDomainDrainAllocsNoWorseThanWholeNP: draining through a protection
+// domain costs no more allocations per batch than draining the whole NP —
+// the domain is resolved once, not per batch. Pinned on the root domain of
+// an unpartitioned NP, by name and by view, and on a domain that owns
+// every core.
+func TestDomainDrainAllocsNoWorseThanWholeNP(t *testing.T) {
+	np := allocNP(t, 2, false)
+	gen := packet.NewGenerator(33)
+	pkts := make([][]byte, 32)
+	for i := range pkts {
+		pkts[i] = gen.Next()
+	}
+	allocs := func(drain func([][]byte, int) (BatchOutcome, error)) float64 {
+		t.Helper()
+		if _, err := drain(pkts, 0); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := drain(pkts, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	byName := func(name string) func([][]byte, int) (BatchOutcome, error) {
+		return func(pkts [][]byte, qdepth int) (BatchOutcome, error) {
+			return np.DrainBatchDomain(name, pkts, qdepth)
+		}
+	}
+	whole := allocs(np.DrainBatch)
+	root, err := np.Domain("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{
+		`DrainBatchDomain("")`:  allocs(byName("")),
+		`Domain("").DrainBatch`: allocs(root.DrainBatch),
+	}
+	if err := np.SetDomains([]DomainSpec{{Name: "x", Cores: []int{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	got[`DrainBatchDomain("x")`] = allocs(byName("x"))
+	for name, n := range got {
+		if n > whole {
+			t.Errorf("%s allocates %.0f objects/batch, whole-NP DrainBatch %.0f", name, n, whole)
+		}
+	}
+}

@@ -34,7 +34,7 @@ import (
 // health sample, say — can run against an NP that a shard worker is
 // draining. Result.Packet slices are only valid until the next batch.
 func (np *NP) ProcessBatch(pkts [][]byte, qdepth int) ([]Result, error) {
-	results, _, _, err := np.processBatch(pkts, qdepth, -1)
+	results, _, _, err := np.processBatch(pkts, qdepth, &np.whole)
 	return results, err
 }
 
@@ -46,18 +46,22 @@ func (np *NP) ProcessBatch(pkts [][]byte, qdepth int) ([]Result, error) {
 // results alias the reused arena (a concurrent batch overwrites it the
 // moment the lock is released).
 //
-// domIdx restricts the batch to the cores of one protection domain
-// (domain.go); -1 runs on every core. The loaded/available probes count
-// only participating cores, so a tenant whose domain is fully quarantined
-// sees ErrNoCoreAvailable even while other tenants' cores are healthy.
-func (np *NP) processBatch(pkts [][]byte, qdepth int, domIdx int) ([]Result, Stats, uint64, error) {
+// The batch runs on the cores of one view (domain.go): the whole NP or one
+// protection domain. The view's partition must still be current — checked
+// under batchMu, which SetDomains swaps the partition under — so a batch
+// never runs on cores a repartition gave away. The loaded/available probes
+// count only the view's cores, so a tenant whose domain is fully
+// quarantined sees ErrNoCoreAvailable even while other tenants' cores are
+// healthy.
+func (np *NP) processBatch(pkts [][]byte, qdepth int, view *Domain) ([]Result, Stats, uint64, error) {
 	np.batchMu.Lock()
 	defer np.batchMu.Unlock()
+	if err := view.Err(); err != nil {
+		return nil, Stats{}, 0, err
+	}
 	loaded, available := 0, 0
-	for id, s := range np.slots {
-		if domIdx >= 0 && np.slotDomain[id] != domIdx {
-			continue
-		}
+	for _, id := range view.cores {
+		s := np.slots[id]
 		s.mu.Lock()
 		if s.loaded {
 			loaded++
@@ -112,10 +116,8 @@ func (np *NP) processBatch(pkts [][]byte, qdepth int, domIdx int) ([]Result, Sta
 		batchStart = time.Now()
 	}
 
-	for coreID, slot := range np.slots {
-		if domIdx >= 0 && np.slotDomain[coreID] != domIdx {
-			continue
-		}
+	for _, coreID := range view.cores {
+		slot := np.slots[coreID]
 		slot.mu.Lock()
 		ok := slot.available()
 		slot.mu.Unlock()

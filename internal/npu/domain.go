@@ -2,29 +2,40 @@ package npu
 
 // Protection domains (DESIGN.md §17): the per-NP half of the multi-tenant
 // trusted layer. A domain is an exclusive set of core slots owned by one
-// tenant; the trusted domain manager (internal/tenant) assigns the
-// partition once with SetDomains and then performs every install, stage,
-// commit, rollback, and quarantine through the *Domain entry points below,
-// which refuse any core the named domain does not own. This is the
-// Sanctum-style discipline: the mapping lives in one small trusted layer,
-// and nothing a tenant does — including its own upgrade traffic — can
-// reach another tenant's slots. Per-domain statistics accumulate alongside
-// the NP aggregate so a tenant's health is observable without reading (or
-// perturbing) anyone else's numbers.
+// tenant. The trusted domain manager (internal/tenant) installs the
+// partition once with SetDomains, resolves each tenant's view once with
+// np.Domain(name), and performs every install, stage, commit, rollback,
+// quarantine, drain and stats read through that view. A view reaches only
+// the cores its domain owns: a call naming any other core is refused with
+// ErrDomainViolation before any state moves. This is the Sanctum-style
+// discipline: the mapping lives in one small trusted layer, and nothing a
+// tenant does — including its own upgrade traffic — can reach another
+// tenant's slots.
+//
+// The whole NP is one more view, over every core, and the NP embeds it:
+// np.InstallAll, np.Stats, np.DrainBatch and the rest are that view's
+// methods, so each core operation is written once. A domain view is bound
+// to the partition it was resolved against. SetDomains replaces the
+// partition, after which the old views are stale and every operation on
+// them is refused with ErrUnknownDomain — the batch engine checks this
+// under the same lock SetDomains swaps the partition under, so a batch can
+// never run on cores a repartition gave to someone else. The whole-NP view
+// is bound to no partition and never goes stale. Per-domain statistics
+// accumulate alongside the NP aggregate, so a tenant's health is
+// observable without reading (or perturbing) anyone else's numbers.
 
 import (
 	"errors"
 	"fmt"
-
-	"sdmmon/internal/obs"
 )
 
 // Domain access errors.
 var (
-	// ErrDomainViolation: a *Domain call addressed a core the named domain
-	// does not own. The operation is refused with no state change.
+	// ErrDomainViolation: a domain view was asked to act on a core its
+	// domain does not own. The operation is refused with no state change.
 	ErrDomainViolation = errors.New("npu: core outside caller's protection domain")
-	// ErrUnknownDomain: the named domain is not in the current partition.
+	// ErrUnknownDomain: the named domain is not in the current partition,
+	// or a view outlived the partition it was resolved against.
 	ErrUnknownDomain = errors.New("npu: unknown protection domain")
 )
 
@@ -34,58 +45,112 @@ type DomainSpec struct {
 	Cores []int
 }
 
-// SetDomains installs a core partition: each listed domain owns its cores
-// exclusively; cores not listed anywhere stay in the root domain "". The
-// call replaces any previous partition and zeroes the per-domain stat
-// accounts (the NP aggregate is untouched). It is a trusted-layer setup
-// operation: call it before the partition takes traffic, not concurrently
-// with a domain being re-partitioned mid-drain.
-func (np *NP) SetDomains(specs []DomainSpec) error {
+// Domain is a view of the cores one protection domain owns: the unit every
+// core operation is defined on. NP.Domain resolves a named view of the
+// current partition; the NP itself embeds the view over every core. A view
+// is immutable and safe for concurrent use.
+type Domain struct {
+	np    *NP
+	name  string
+	part  *partition // the partition resolved against; nil for the whole NP
+	idx   int        // this domain's index in part
+	cores []int      // the owned cores, ascending
+}
+
+// whole names the NP's embedded view over every core.
+type whole = Domain
+
+// partition is one SetDomains result: a view per domain (index 0 is the
+// root domain "", which owns every core no spec lists), each core's owner
+// index, and the per-domain stat accounts. SetDomains replaces it
+// wholesale; only the stat accounts change afterwards, under statsMu.
+type partition struct {
+	views      []*Domain
+	slotDomain []int
+	stats      []Stats
+}
+
+// newPartition validates specs and builds their partition.
+func (np *NP) newPartition(specs []DomainSpec) (*partition, error) {
 	n := len(np.slots)
-	slotDomain := make([]int, n)
-	domains := make([]string, 1, len(specs)+1)
+	p := &partition{
+		views:      []*Domain{{np: np}},
+		slotDomain: make([]int, n),
+		stats:      make([]Stats, len(specs)+1),
+	}
 	seen := map[string]bool{"": true}
 	for _, sp := range specs {
 		if sp.Name == "" {
-			return fmt.Errorf("npu: domain name must be non-empty")
+			return nil, fmt.Errorf("npu: domain name must be non-empty")
 		}
 		if seen[sp.Name] {
-			return fmt.Errorf("npu: duplicate domain %q", sp.Name)
+			return nil, fmt.Errorf("npu: duplicate domain %q", sp.Name)
 		}
 		if len(sp.Cores) == 0 {
-			return fmt.Errorf("npu: domain %q owns no cores", sp.Name)
+			return nil, fmt.Errorf("npu: domain %q owns no cores", sp.Name)
 		}
 		seen[sp.Name] = true
-		idx := len(domains)
-		domains = append(domains, sp.Name)
+		idx := len(p.views)
+		p.views = append(p.views, &Domain{np: np, name: sp.Name})
 		for _, c := range sp.Cores {
 			if c < 0 || c >= n {
-				return fmt.Errorf("npu: domain %q: core %d out of range", sp.Name, c)
+				return nil, fmt.Errorf("npu: domain %q: core %d out of range", sp.Name, c)
 			}
-			if slotDomain[c] != 0 {
-				return fmt.Errorf("npu: core %d claimed by both %q and %q",
-					c, domains[slotDomain[c]], sp.Name)
+			if p.slotDomain[c] != 0 {
+				return nil, fmt.Errorf("npu: core %d claimed by both %q and %q",
+					c, p.views[p.slotDomain[c]].name, sp.Name)
 			}
-			slotDomain[c] = idx
+			p.slotDomain[c] = idx
 		}
 	}
-	// batchMu orders the swap against the batch engine's participant scan;
-	// statsMu against the per-domain stat folds and name lookups.
+	for idx, d := range p.views {
+		d.part, d.idx = p, idx
+	}
+	for c, idx := range p.slotDomain {
+		p.views[idx].cores = append(p.views[idx].cores, c)
+	}
+	return p, nil
+}
+
+// SetDomains installs a core partition: each listed domain owns its cores
+// exclusively; cores not listed anywhere stay in the root domain "". The
+// call replaces any previous partition and zeroes the per-domain stat
+// accounts (the NP aggregate is untouched). Views resolved before the call
+// are stale afterwards: their operations fail with ErrUnknownDomain, and
+// a batch already running on one finishes on the cores it started with.
+func (np *NP) SetDomains(specs []DomainSpec) error {
+	p, err := np.newPartition(specs)
+	if err != nil {
+		return err
+	}
+	// batchMu orders the swap against the batch engine's currency check
+	// and participant scan; statsMu against the per-domain stat folds.
 	np.batchMu.Lock()
 	np.statsMu.Lock()
-	np.domains = domains
-	np.slotDomain = slotDomain
-	np.domStats = make([]Stats, len(domains))
+	np.domains.Store(p)
 	np.statsMu.Unlock()
 	np.batchMu.Unlock()
 	return nil
 }
 
+// Domain resolves a domain of the current partition to its view.
+func (np *NP) Domain(name string) (*Domain, error) {
+	for _, d := range np.domains.Load().views {
+		if d.name == name {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("npu: %w: %q", ErrUnknownDomain, name)
+}
+
 // Domains lists the current partition's domain names, root ("") first.
 func (np *NP) Domains() []string {
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	return append([]string(nil), np.domains...)
+	views := np.domains.Load().views
+	names := make([]string, len(views))
+	for i, d := range views {
+		names[i] = d.name
+	}
+	return names
 }
 
 // DomainOf reports the domain owning a core ("" = root).
@@ -93,293 +158,59 @@ func (np *NP) DomainOf(coreID int) (string, error) {
 	if coreID < 0 || coreID >= len(np.slots) {
 		return "", fmt.Errorf("npu: core %d out of range", coreID)
 	}
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	return np.domains[np.slotDomain[coreID]], nil
+	p := np.domains.Load()
+	return p.views[p.slotDomain[coreID]].name, nil
 }
 
-// DomainCores lists the cores a domain owns, ascending.
-func (np *NP) DomainCores(name string) ([]int, error) {
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	idx := np.domainIdxLocked(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("npu: %w: %q", ErrUnknownDomain, name)
-	}
-	var cores []int
-	for c, d := range np.slotDomain {
-		if d == idx {
-			cores = append(cores, c)
-		}
-	}
-	return cores, nil
-}
+// Whole returns the NP's view over every core — the one a single-tenant
+// plane drains through. It is bound to no partition and never goes stale.
+func (np *NP) Whole() *Domain { return &np.whole }
 
-// domainIdxLocked resolves a domain name to its index, -1 when unknown.
-// Call with statsMu held.
-func (np *NP) domainIdxLocked(name string) int {
-	for i, d := range np.domains {
-		if d == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// domainIdx resolves a domain name to its index.
-func (np *NP) domainIdx(name string) (int, error) {
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	idx := np.domainIdxLocked(name)
-	if idx < 0 {
-		return 0, fmt.Errorf("npu: %w: %q", ErrUnknownDomain, name)
-	}
-	return idx, nil
-}
-
-// checkDomain is the ownership gate every *Domain mutation passes through.
-func (np *NP) checkDomain(domain string, coreID int) error {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return fmt.Errorf("npu: core %d out of range", coreID)
-	}
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	idx := np.domainIdxLocked(domain)
-	if idx < 0 {
-		return fmt.Errorf("npu: %w: %q", ErrUnknownDomain, domain)
-	}
-	if owner := np.slotDomain[coreID]; owner != idx {
-		return fmt.Errorf("npu: domain %q, core %d owned by %q: %w",
-			domain, coreID, np.domains[owner], ErrDomainViolation)
+// Err is nil while the view is current and ErrUnknownDomain once a
+// SetDomains has replaced the partition it was resolved against. The
+// whole-NP view is always current.
+func (d *Domain) Err() error {
+	if d.part != nil && d.np.domains.Load() != d.part {
+		return fmt.Errorf("npu: %w: %q (repartitioned)", ErrUnknownDomain, d.name)
 	}
 	return nil
 }
 
-// InstallDomain is Install gated on domain ownership: the bundle lands on
-// the core only if the named domain owns it.
-func (np *NP) InstallDomain(domain string, coreID int, name string, binary, graph []byte, param uint32) error {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return err
+// slot is the ownership gate of every core-addressed operation: it returns
+// the core's slot, or refuses a core out of range, a stale view, or a core
+// another domain owns.
+func (d *Domain) slot(coreID int) (*coreSlot, error) {
+	if coreID < 0 || coreID >= len(d.np.slots) {
+		return nil, fmt.Errorf("npu: core %d out of range", coreID)
 	}
-	return np.Install(coreID, name, binary, graph, param)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if d.part != nil {
+		if owner := d.part.slotDomain[coreID]; owner != d.idx {
+			return nil, fmt.Errorf("npu: domain %q, core %d owned by %q: %w",
+				d.name, coreID, d.part.views[owner].name, ErrDomainViolation)
+		}
+	}
+	return d.np.slots[coreID], nil
 }
 
-// InstallDomainAll installs one bundle on every core the domain owns,
-// transactionally: all images are prepared and self-checked before any
-// slot is mutated. Cores outside the domain are never touched.
-func (np *NP) InstallDomainAll(domain, name string, binary, graph []byte, param uint32) error {
-	cores, err := np.DomainCores(domain)
-	if err != nil {
-		return err
+// prepareAll builds one image per owned core — the expensive, fallible
+// half of a domain-wide install or stage — before any slot is touched.
+func (d *Domain) prepareAll(name string, binary, graph []byte, param uint32) ([]*preparedApp, error) {
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if len(cores) == 0 {
-		return fmt.Errorf("npu: domain %q owns no cores", domain)
+	if len(d.cores) == 0 {
+		return nil, fmt.Errorf("npu: domain %q owns no cores", d.name)
 	}
-	prepared := make([]*preparedApp, len(cores))
-	for i := range cores {
-		p, err := np.prepare(name, binary, graph, param)
+	prepared := make([]*preparedApp, len(d.cores))
+	for i := range prepared {
+		p, err := d.np.prepare(name, binary, graph, param)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prepared[i] = p
 	}
-	for i, coreID := range cores {
-		slot := np.slots[coreID]
-		slot.mu.Lock()
-		slot.setLive(prepared[i])
-		slot.staged = nil
-		slot.prev = nil
-		slot.sup.onInstall()
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvInstall, 0, 0)
-		np.mInstalls.Inc()
-	}
-	return nil
-}
-
-// StageInstallDomain is StageInstall gated on domain ownership.
-func (np *NP) StageInstallDomain(domain string, coreID int, name string, binary, graph []byte, param uint32) error {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return err
-	}
-	return np.StageInstall(coreID, name, binary, graph, param)
-}
-
-// StageInstallDomainAll stages one bundle on every core the domain owns;
-// preparation happens for every core before any shadow slot is written.
-func (np *NP) StageInstallDomainAll(domain, name string, binary, graph []byte, param uint32) error {
-	cores, err := np.DomainCores(domain)
-	if err != nil {
-		return err
-	}
-	if len(cores) == 0 {
-		return fmt.Errorf("npu: domain %q owns no cores", domain)
-	}
-	prepared := make([]*preparedApp, len(cores))
-	for i := range cores {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	for i, coreID := range cores {
-		slot := np.slots[coreID]
-		slot.mu.Lock()
-		slot.staged = prepared[i]
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvStage, 0, 0)
-		np.mStages.Inc()
-	}
-	return nil
-}
-
-// CommitDomain is Commit gated on domain ownership.
-func (np *NP) CommitDomain(domain string, coreID int) (uint64, error) {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return 0, err
-	}
-	return np.Commit(coreID)
-}
-
-// CommitDomainAll commits every core the domain owns, all-or-nothing
-// within the domain: if any owned core has nothing staged, no owned core
-// is cut over. Other domains' staged bundles are invisible to the check
-// and untouched by the commit.
-func (np *NP) CommitDomainAll(domain string) (uint64, error) {
-	cores, err := np.DomainCores(domain)
-	if err != nil {
-		return 0, err
-	}
-	for _, coreID := range cores {
-		if !np.HasStaged(coreID) {
-			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingStaged)
-		}
-	}
-	var cycles uint64
-	for _, coreID := range cores {
-		c, err := np.Commit(coreID)
-		if err != nil {
-			return cycles, err
-		}
-		cycles += c
-	}
-	return cycles, nil
-}
-
-// RollbackDomain is Rollback gated on domain ownership.
-func (np *NP) RollbackDomain(domain string, coreID int) (uint64, error) {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return 0, err
-	}
-	return np.Rollback(coreID)
-}
-
-// RollbackDomainAll rolls back every core the domain owns, all-or-nothing
-// within the domain.
-func (np *NP) RollbackDomainAll(domain string) (uint64, error) {
-	cores, err := np.DomainCores(domain)
-	if err != nil {
-		return 0, err
-	}
-	for _, coreID := range cores {
-		if !np.CanRollback(coreID) {
-			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingRetained)
-		}
-	}
-	var cycles uint64
-	for _, coreID := range cores {
-		c, err := np.Rollback(coreID)
-		if err != nil {
-			return cycles, err
-		}
-		cycles += c
-	}
-	return cycles, nil
-}
-
-// AbortStagedDomain discards staged bundles on every core the domain owns.
-func (np *NP) AbortStagedDomain(domain string) error {
-	cores, err := np.DomainCores(domain)
-	if err != nil {
-		return err
-	}
-	for _, coreID := range cores {
-		_ = np.AbortStaged(coreID)
-	}
-	return nil
-}
-
-// QuarantineDomain is Quarantine gated on domain ownership: a tenant's
-// responder can isolate its own cores and no one else's.
-func (np *NP) QuarantineDomain(domain string, coreID int) error {
-	if err := np.checkDomain(domain, coreID); err != nil {
-		return err
-	}
-	return np.Quarantine(coreID)
-}
-
-// StatsDomain returns the domain's stat account: the outcomes of exactly
-// the packets that ran on its cores since the partition was installed.
-// With no partition installed, the root domain "" reads as the NP
-// aggregate.
-func (np *NP) StatsDomain(name string) (Stats, error) {
-	np.statsMu.Lock()
-	defer np.statsMu.Unlock()
-	idx := np.domainIdxLocked(name)
-	if idx < 0 {
-		return Stats{}, fmt.Errorf("npu: %w: %q", ErrUnknownDomain, name)
-	}
-	if len(np.domains) == 1 {
-		return np.stats, nil
-	}
-	return np.domStats[idx], nil
-}
-
-// HealthyDomain reports whether at least one core the domain owns can take
-// traffic — the per-tenant health probe of the shard plane's failover
-// logic. An unknown domain is never healthy.
-func (np *NP) HealthyDomain(name string) bool {
-	idx, err := np.domainIdx(name)
-	if err != nil {
-		return false
-	}
-	for coreID, s := range np.slots {
-		np.statsMu.Lock()
-		mine := np.slotDomain[coreID] == idx
-		np.statsMu.Unlock()
-		if !mine {
-			continue
-		}
-		s.mu.Lock()
-		ok := s.available()
-		s.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-// AvailableCoresDomain counts the domain's loaded, non-quarantined cores.
-func (np *NP) AvailableCoresDomain(name string) (int, error) {
-	idx, err := np.domainIdx(name)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for coreID, s := range np.slots {
-		np.statsMu.Lock()
-		mine := np.slotDomain[coreID] == idx
-		np.statsMu.Unlock()
-		if !mine {
-			continue
-		}
-		s.mu.Lock()
-		if s.available() {
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n, nil
+	return prepared, nil
 }

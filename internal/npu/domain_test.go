@@ -1,12 +1,14 @@
 package npu
 
-// Protection-domain tests: partition validation, the domain-gated install
+// Protection-domain tests: partition validation, the domain views' install
 // path (cross-tenant installs must be refused), per-domain statistics,
 // domain-restricted batch drains, and the per-instance metric namespace
 // (two NPs on one collector keep disjoint series).
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdmmon/internal/apps"
@@ -22,6 +24,16 @@ func domainNP(t *testing.T, cores int) *NP {
 		t.Fatal(err)
 	}
 	return np
+}
+
+// view resolves a domain of np's current partition.
+func view(t *testing.T, np *NP, name string) *Domain {
+	t.Helper()
+	d, err := np.Domain(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestSetDomainsValidation(t *testing.T) {
@@ -55,11 +67,10 @@ func TestSetDomainsValidation(t *testing.T) {
 	if d, _ := np.DomainOf(3); d != "b" {
 		t.Errorf("core 3 in domain %q, want b", d)
 	}
-	cores, err := np.DomainCores("a")
-	if err != nil || len(cores) != 2 || cores[0] != 0 || cores[1] != 1 {
-		t.Errorf("DomainCores(a) = %v, %v", cores, err)
+	if cores := view(t, np, "a").cores; len(cores) != 2 || cores[0] != 0 || cores[1] != 1 {
+		t.Errorf("domain a owns cores %v", cores)
 	}
-	if _, err := np.DomainCores("ghost"); !errors.Is(err, ErrUnknownDomain) {
+	if _, err := np.Domain("ghost"); !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("unknown domain error = %v", err)
 	}
 }
@@ -77,23 +88,24 @@ func TestCrossDomainInstallRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, g := makeBundle(t, apps.UDPEcho(), 0xE0)
+	a := view(t, np, "a")
 
-	if err := np.InstallDomain("a", 2, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("InstallDomain onto b's core: %v, want ErrDomainViolation", err)
+	if err := a.Install(2, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
+		t.Errorf("a.Install onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if err := np.StageInstallDomain("a", 3, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("StageInstallDomain onto b's core: %v, want ErrDomainViolation", err)
+	if err := a.StageInstall(3, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrDomainViolation) {
+		t.Errorf("a.StageInstall onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if _, err := np.CommitDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("CommitDomain onto b's core: %v, want ErrDomainViolation", err)
+	if _, err := a.Commit(2); !errors.Is(err, ErrDomainViolation) {
+		t.Errorf("a.Commit onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if _, err := np.RollbackDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("RollbackDomain onto b's core: %v, want ErrDomainViolation", err)
+	if _, err := a.Rollback(2); !errors.Is(err, ErrDomainViolation) {
+		t.Errorf("a.Rollback onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if err := np.QuarantineDomain("a", 2); !errors.Is(err, ErrDomainViolation) {
-		t.Errorf("QuarantineDomain onto b's core: %v, want ErrDomainViolation", err)
+	if err := a.Quarantine(2); !errors.Is(err, ErrDomainViolation) {
+		t.Errorf("a.Quarantine onto b's core: %v, want ErrDomainViolation", err)
 	}
-	if err := np.InstallDomain("ghost", 0, "udpecho", bin, g, 0xE0); !errors.Is(err, ErrUnknownDomain) {
+	if _, err := np.Domain("ghost"); !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("unknown domain install: %v, want ErrUnknownDomain", err)
 	}
 	// b's cores are untouched by all of the above.
@@ -104,7 +116,7 @@ func TestCrossDomainInstallRefused(t *testing.T) {
 	}
 
 	// The domain-wide install lands on exactly the domain's cores.
-	if err := np.InstallDomainAll("a", "udpecho", bin, g, 0xE0); err != nil {
+	if err := a.InstallAll("udpecho", bin, g, 0xE0); err != nil {
 		t.Fatal(err)
 	}
 	for core := 0; core < 4; core++ {
@@ -113,13 +125,13 @@ func TestCrossDomainInstallRefused(t *testing.T) {
 			want = "udpecho"
 		}
 		if name, _ := np.AppOn(core); name != want {
-			t.Errorf("core %d runs %q after InstallDomainAll(a), want %q", core, name, want)
+			t.Errorf("core %d runs %q after a.InstallAll, want %q", core, name, want)
 		}
 	}
 }
 
 // TestDomainStagedCommitRollback drives the two-phase upgrade through the
-// domain-gated entry points and checks the all-or-nothing guard.
+// domain views and checks the all-or-nothing guard.
 func TestDomainStagedCommitRollback(t *testing.T) {
 	np := domainNP(t, 4)
 	if err := np.SetDomains([]DomainSpec{
@@ -129,19 +141,20 @@ func TestDomainStagedCommitRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, g := makeBundle(t, apps.UDPEcho(), 0xE1)
+	a, b := view(t, np, "a"), view(t, np, "b")
 
 	// Nothing staged anywhere: the domain-wide commit must refuse.
-	if _, err := np.CommitDomainAll("a"); !errors.Is(err, ErrNothingStaged) {
-		t.Fatalf("CommitDomainAll with nothing staged: %v", err)
+	if _, err := a.CommitAll(); !errors.Is(err, ErrNothingStaged) {
+		t.Fatalf("a.CommitAll with nothing staged: %v", err)
 	}
-	if err := np.StageInstallDomainAll("a", "udpecho", bin, g, 0xE1); err != nil {
+	if err := a.StageInstallAll("udpecho", bin, g, 0xE1); err != nil {
 		t.Fatal(err)
 	}
 	// b has nothing staged; a's staging must not be visible to b's commit.
-	if _, err := np.CommitDomainAll("b"); !errors.Is(err, ErrNothingStaged) {
-		t.Fatalf("CommitDomainAll(b) saw a's staged bundles: %v", err)
+	if _, err := b.CommitAll(); !errors.Is(err, ErrNothingStaged) {
+		t.Fatalf("b.CommitAll saw a's staged bundles: %v", err)
 	}
-	if _, err := np.CommitDomainAll("a"); err != nil {
+	if _, err := a.CommitAll(); err != nil {
 		t.Fatal(err)
 	}
 	for core := 0; core < 4; core++ {
@@ -150,19 +163,19 @@ func TestDomainStagedCommitRollback(t *testing.T) {
 			want = "udpecho"
 		}
 		if name, _ := np.AppOn(core); name != want {
-			t.Errorf("core %d runs %q after CommitDomainAll(a), want %q", core, name, want)
+			t.Errorf("core %d runs %q after a.CommitAll, want %q", core, name, want)
 		}
 	}
-	if _, err := np.RollbackDomainAll("a"); err != nil {
+	if _, err := a.RollbackAll(); err != nil {
 		t.Fatal(err)
 	}
 	for core := 0; core < 2; core++ {
 		if name, _ := np.AppOn(core); name != "ipv4cm" {
-			t.Errorf("core %d runs %q after RollbackDomainAll(a), want ipv4cm", core, name)
+			t.Errorf("core %d runs %q after a.RollbackAll, want ipv4cm", core, name)
 		}
 	}
-	if _, err := np.RollbackDomainAll("b"); !errors.Is(err, ErrNothingRetained) {
-		t.Errorf("RollbackDomainAll(b) with nothing retained: %v", err)
+	if _, err := b.RollbackAll(); !errors.Is(err, ErrNothingRetained) {
+		t.Errorf("b.RollbackAll with nothing retained: %v", err)
 	}
 }
 
@@ -191,14 +204,9 @@ func TestDomainRestrictedBatchAndStats(t *testing.T) {
 	if out.Processed != 40 || out.Unprocessed != 0 {
 		t.Fatalf("domain a drain: %+v", out)
 	}
-	sa, err := np.StatsDomain("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := np.StatsDomain("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := view(t, np, "a"), view(t, np, "b")
+	sa := a.Stats()
+	sb := b.Stats()
 	if sa.Processed != 40 {
 		t.Errorf("domain a processed %d, want 40", sa.Processed)
 	}
@@ -211,17 +219,17 @@ func TestDomainRestrictedBatchAndStats(t *testing.T) {
 
 	// Wedge domain a; b keeps draining, a reports no cores.
 	for _, core := range []int{0, 1} {
-		if err := np.QuarantineDomain("a", core); err != nil {
+		if err := a.Quarantine(core); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if np.HealthyDomain("a") {
+	if a.Healthy() {
 		t.Error("domain a healthy with both cores quarantined")
 	}
-	if !np.HealthyDomain("b") {
+	if !b.Healthy() {
 		t.Error("domain b lost health to a's quarantine")
 	}
-	if n, _ := np.AvailableCoresDomain("b"); n != 2 {
+	if n := b.AvailableCores(); n != 2 {
 		t.Errorf("domain b has %d available cores, want 2", n)
 	}
 	if _, err := np.DrainBatchDomain("a", batch, 0); !errors.Is(err, ErrNoCoreAvailable) {
@@ -233,7 +241,7 @@ func TestDomainRestrictedBatchAndStats(t *testing.T) {
 	if _, err := np.DrainBatchDomain("ghost", batch, 0); !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("drain on unknown domain: %v", err)
 	}
-	if np.HealthyDomain("ghost") {
+	if _, err := np.Domain("ghost"); err == nil {
 		t.Error("unknown domain reported healthy")
 	}
 }
@@ -333,20 +341,140 @@ func TestDomainStatsRepartitionResets(t *testing.T) {
 	if _, err := np.DrainBatchDomain("x", batch, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := np.StatsDomain("x"); s.Processed != 10 {
+	if s := view(t, np, "x").Stats(); s.Processed != 10 {
 		t.Fatalf("domain x processed %d, want 10", s.Processed)
 	}
 	// Repartition: domain accounts reset, the NP aggregate survives.
 	if err := np.SetDomains([]DomainSpec{{Name: "y", Cores: []int{0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := np.StatsDomain("x"); !errors.Is(err, ErrUnknownDomain) {
+	if _, err := np.Domain("x"); !errors.Is(err, ErrUnknownDomain) {
 		t.Error("stale domain still resolvable after repartition")
 	}
-	if s, _ := np.StatsDomain("y"); s.Processed != 0 {
+	if s := view(t, np, "y").Stats(); s.Processed != 0 {
 		t.Errorf("fresh domain y inherited %d processed packets", s.Processed)
 	}
 	if agg := np.Stats(); agg.Processed != 10 {
 		t.Errorf("aggregate lost history across repartition: %d", agg.Processed)
+	}
+}
+
+// TestStaleDomainViewRefused: a view resolved before SetDomains is bound
+// to the partition it was resolved against. After a repartition — here one
+// that hands the same cores to another domain — install, drain and stats
+// through the old view are refused with ErrUnknownDomain, and nothing the
+// old view asked for reaches the cores. The whole-NP view never goes stale.
+func TestStaleDomainViewRefused(t *testing.T) {
+	np := domainNP(t, 2)
+	if err := np.SetDomains([]DomainSpec{{Name: "x", Cores: []int{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	x := view(t, np, "x")
+	if err := np.SetDomains([]DomainSpec{{Name: "y", Cores: []int{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Err(); !errors.Is(err, ErrUnknownDomain) {
+		t.Errorf("stale view Err = %v, want ErrUnknownDomain", err)
+	}
+
+	bin, g := makeBundle(t, apps.UDPEcho(), 0xE2)
+	if err := x.Install(0, "udpecho", bin, g, 0xE2); !errors.Is(err, ErrUnknownDomain) {
+		t.Errorf("install through stale view: %v, want ErrUnknownDomain", err)
+	}
+	if err := x.InstallAll("udpecho", bin, g, 0xE2); !errors.Is(err, ErrUnknownDomain) {
+		t.Errorf("install-all through stale view: %v, want ErrUnknownDomain", err)
+	}
+	for core := 0; core < 2; core++ {
+		if name, _ := np.AppOn(core); name != "ipv4cm" {
+			t.Errorf("core %d runs %q after a stale view's install", core, name)
+		}
+	}
+
+	gen := packet.NewGenerator(13)
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = gen.Next()
+	}
+	out, err := x.DrainBatch(batch, 0)
+	if !errors.Is(err, ErrUnknownDomain) || out.Processed != 0 || out.Unprocessed != len(batch) {
+		t.Errorf("drain through stale view: %+v, %v; want nothing run and ErrUnknownDomain", out, err)
+	}
+	if s := np.Stats(); s.Processed != 0 {
+		t.Errorf("stale view's drain ran %d packets", s.Processed)
+	}
+
+	if _, err := view(t, np, "y").DrainBatch(batch, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s := x.Stats(); s != (Stats{}) {
+		t.Errorf("stale view reads stats %+v, want none", s)
+	}
+	if x.Healthy() {
+		t.Error("stale view reported healthy")
+	}
+
+	// The whole-NP view is bound to no partition.
+	if err := np.Err(); err != nil {
+		t.Errorf("whole-NP view Err = %v", err)
+	}
+	if out, err := np.DrainBatch(batch, 0); err != nil || out.Processed != uint64(len(batch)) {
+		t.Errorf("whole-NP drain after repartition: %+v, %v", out, err)
+	}
+}
+
+// TestRepartitionConcurrentWithDrains: SetDomains races drains, stats
+// reads and health probes through views resolved on the fly. Every drain
+// either runs in full on its view's partition or is refused whole with
+// ErrUnknownDomain, so the NP aggregate counts exactly the packets that
+// the successful drains report.
+func TestRepartitionConcurrentWithDrains(t *testing.T) {
+	np := domainNP(t, 2)
+	gen := packet.NewGenerator(17)
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = gen.Next()
+	}
+	var ran atomic.Uint64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d, err := np.Domain("x")
+				if err != nil {
+					continue // the current partition names y
+				}
+				out, err := d.DrainBatch(batch, 0)
+				switch {
+				case err == nil:
+					ran.Add(out.Processed)
+				case !errors.Is(err, ErrUnknownDomain) || out.Processed != 0:
+					t.Errorf("drain during repartition: %+v, %v", out, err)
+					return
+				}
+				_, _ = d.Stats(), d.Healthy()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		name := "x"
+		if i%3 == 2 {
+			name = "y"
+		}
+		if err := np.SetDomains([]DomainSpec{{Name: name, Cores: []int{0, 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := np.Stats().Processed; got != ran.Load() {
+		t.Errorf("aggregate processed %d, successful drains reported %d", got, ran.Load())
 	}
 }

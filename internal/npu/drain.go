@@ -1,9 +1,10 @@
 package npu
 
 // This file is the NP's face toward a multi-NP traffic plane
-// (internal/shard): a batch-drain entry point that reports per-batch
-// outcomes instead of per-packet results, and a race-safe health probe the
-// dispatcher can consult without owning the packet path.
+// (internal/shard): a batch-drain entry point on every view (the whole NP
+// or one protection domain) that reports per-batch outcomes instead of
+// per-packet results. The race-safe health probe the dispatcher consults
+// alongside it is Domain.Healthy (supervisor.go).
 
 // BatchOutcome summarizes one drained batch. Unlike ProcessBatch's result
 // slice it exposes no per-packet data, so a queue drainer can account a
@@ -25,20 +26,23 @@ type BatchOutcome struct {
 	Unprocessed int
 }
 
-// DrainBatch runs one batch through the batch engine and summarizes its
-// fate. It is the hook a shard worker drains its ingress queue with:
-// qdepth is the backlog the congestion-management applications see, and
-// the returned error keeps ProcessBatch's semantics (first per-packet
-// error, or ErrNoCoreAvailable when the batch could not finish on a fully
-// quarantined NP). The outcome is built from this batch's own merged stat
-// delta — not a Stats() before/after window — so concurrent traffic on
-// the same NP (a rollout's health sample batching against a live line
-// card) cannot leak into the shard's accounting. The ECNMarked tally comes
-// from inside the batch engine, while it still holds batchMu: the result
-// Packet slices alias the NP's reused arena, so scanning them here would
-// race a concurrent batch overwriting it.
-func (np *NP) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
-	return np.DrainBatchRelease(pkts, qdepth, nil)
+// DrainBatch runs one batch through the batch engine on the view's cores
+// and summarizes its fate. It is the hook a shard worker drains its
+// ingress queue with: qdepth is the backlog the congestion-management
+// applications see, and the returned error keeps ProcessBatch's semantics
+// (first per-packet error, or ErrNoCoreAvailable when the batch could not
+// finish on a fully quarantined view — even while other domains' cores
+// stay healthy, which is what lets the shard plane fail over one tenant's
+// lane without disturbing the card's other tenants). A stale view drains
+// nothing and reports ErrUnknownDomain. The outcome is built from this
+// batch's own merged stat delta — not a Stats() before/after window — so
+// concurrent traffic on the same NP (a rollout's health sample batching
+// against a live line card) cannot leak into the shard's accounting. The
+// ECNMarked tally comes from inside the batch engine, while it still holds
+// batchMu: the result Packet slices alias the NP's reused arena, so
+// scanning them here would race a concurrent batch overwriting it.
+func (d *Domain) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
+	return d.DrainBatchRelease(pkts, qdepth, nil)
 }
 
 // DrainBatchRelease is DrainBatch with a buffer-return hook. The batch
@@ -51,65 +55,30 @@ func (np *NP) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
 // ingress (internal/shard) can recycle the buffers backing pkts without
 // waiting for its own accounting to finish. Callers must not touch the
 // buffers from the callback onward on this goroutine's behalf.
-func (np *NP) DrainBatchRelease(pkts [][]byte, qdepth int, release func()) (BatchOutcome, error) {
-	return np.drainBatch(pkts, qdepth, -1, release)
-}
-
-// DrainBatchDomain is DrainBatch restricted to the cores of one protection
-// domain (domain.go): the batch runs only on slots the named domain owns,
-// and a fully-quarantined domain reports ErrNoCoreAvailable even while
-// other domains' cores stay healthy — which is what lets the shard plane
-// fail over one tenant's lane without disturbing the card's other tenants.
-func (np *NP) DrainBatchDomain(domain string, pkts [][]byte, qdepth int) (BatchOutcome, error) {
-	return np.DrainBatchDomainRelease(domain, pkts, qdepth, nil)
-}
-
-// DrainBatchDomainRelease is DrainBatchDomain with DrainBatchRelease's
-// buffer-return hook.
-func (np *NP) DrainBatchDomainRelease(domain string, pkts [][]byte, qdepth int, release func()) (BatchOutcome, error) {
-	idx, err := np.domainIdx(domain)
-	if err != nil {
-		if release != nil {
-			release()
-		}
-		return BatchOutcome{Unprocessed: len(pkts)}, err
-	}
-	if len(np.Domains()) == 1 {
-		idx = -1 // no partition installed: the root domain is the whole NP
-	}
-	return np.drainBatch(pkts, qdepth, idx, release)
-}
-
-func (np *NP) drainBatch(pkts [][]byte, qdepth int, domIdx int, release func()) (BatchOutcome, error) {
-	_, d, ecnMarked, err := np.processBatch(pkts, qdepth, domIdx)
+func (d *Domain) DrainBatchRelease(pkts [][]byte, qdepth int, release func()) (BatchOutcome, error) {
+	_, delta, ecnMarked, err := d.np.processBatch(pkts, qdepth, d)
 	if release != nil {
 		release()
 	}
-
-	var o BatchOutcome
-	o.Processed = d.Processed
-	o.Forwarded = d.Forwarded
-	o.Dropped = d.Dropped
-	o.Alarms = d.Alarms
-	o.Faults = d.Faults
-	o.Cycles = d.Cycles
-	o.ECNMarked = ecnMarked
-	o.Unprocessed = len(pkts) - int(o.Processed)
+	o := BatchOutcome{
+		Processed:   delta.Processed,
+		Forwarded:   delta.Forwarded,
+		Dropped:     delta.Dropped,
+		Alarms:      delta.Alarms,
+		Faults:      delta.Faults,
+		ECNMarked:   ecnMarked,
+		Cycles:      delta.Cycles,
+		Unprocessed: len(pkts) - int(delta.Processed),
+	}
 	return o, err
 }
 
-// Healthy reports whether at least one core can take traffic. Unlike
-// AvailableCores it takes each slot's lock, so it is safe to call while the
-// NP is processing (the per-NP health probe of the shard plane's failover
-// logic).
-func (np *NP) Healthy() bool {
-	for _, s := range np.slots {
-		s.mu.Lock()
-		ok := s.available()
-		s.mu.Unlock()
-		if ok {
-			return true
-		}
+// DrainBatchDomain resolves a domain by name and drains one batch on its
+// view.
+func (np *NP) DrainBatchDomain(domain string, pkts [][]byte, qdepth int) (BatchOutcome, error) {
+	d, err := np.Domain(domain)
+	if err != nil {
+		return BatchOutcome{Unprocessed: len(pkts)}, err
 	}
-	return false
+	return d.DrainBatch(pkts, qdepth)
 }

@@ -9,6 +9,7 @@ package npu
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/asm"
@@ -176,23 +177,25 @@ type Config struct {
 
 // NP is a multicore network processor.
 type NP struct {
+	// whole is the view over every core (domain.go): the NP's own
+	// install, upgrade, quarantine, health, stats and drain operations
+	// are its methods.
+	whole
+
 	cfg     Config
 	slots   []*coreSlot
 	next    int // round-robin dispatch pointer
 	stats   Stats
 	library map[string]*residentApp // verified bundles kept in memory
 
-	// statsMu guards the aggregate stats: ProcessOn and the ProcessBatch
-	// merge write through mergeStats while Stats() snapshots concurrently.
-	// It also guards the protection-domain tables below.
+	// statsMu guards the aggregate stats and the per-domain accounts:
+	// ProcessOn and the ProcessBatch merge write through mergeStats and
+	// mergeDeltas while Stats() snapshots concurrently.
 	statsMu sync.Mutex
 
-	// Protection-domain partition (see domain.go): domain names (index 0 is
-	// the root domain ""), the per-slot owner index, and the per-domain
-	// stat accounts folded alongside the aggregate.
-	domains    []string
-	slotDomain []int
-	domStats   []Stats
+	// domains is the current protection-domain partition (see domain.go),
+	// swapped by SetDomains under batchMu and statsMu.
+	domains atomic.Pointer[partition]
 
 	// Telemetry hooks (all nil without Config.Obs): aggregate outcome
 	// counters mirrored from the stats merge, lifecycle counters from the
@@ -224,16 +227,14 @@ func New(cfg Config) (*NP, error) {
 	if cfg.NewHasher == nil {
 		cfg.NewHasher = func(p uint32) mhash.Hasher { return mhash.NewMerkle(p) }
 	}
-	np := &NP{
-		cfg:        cfg,
-		slots:      make([]*coreSlot, cfg.Cores),
-		domains:    []string{""},
-		slotDomain: make([]int, cfg.Cores),
-		domStats:   make([]Stats, 1),
-	}
+	np := &NP{cfg: cfg, slots: make([]*coreSlot, cfg.Cores)}
+	np.whole = Domain{np: np, cores: make([]int, cfg.Cores)}
 	for i := range np.slots {
 		np.slots[i] = &coreSlot{sup: newSupState(cfg.Supervisor)}
+		np.whole.cores[i] = i
 	}
+	part, _ := np.newPartition(nil) // no specs, nothing to reject
+	np.domains.Store(part)
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Registry()
 		// With Config.Instance set, every name carries an np="…" label so
@@ -283,28 +284,35 @@ func (np *NP) CycleHistogram(core int) *obs.Histogram {
 // hash family; the operator-side graph extraction must use the same family.
 func (np *NP) HasherFor(param uint32) mhash.Hasher { return np.cfg.NewHasher(param) }
 
-// Stats returns a copy of the aggregate statistics. Safe to call
-// concurrently with Process/ProcessOn/ProcessBatch: the copy is taken under
-// the stats mutex, so it is always a consistent snapshot, never a torn read
-// of counters mid-merge.
-func (np *NP) Stats() Stats {
+// Stats returns a copy of the view's statistics: for the whole NP the
+// aggregate, for a domain the outcomes of exactly the packets that ran on
+// its cores since its partition was installed, and zero for a stale view
+// (see Err). Safe to call concurrently with Process/ProcessOn/ProcessBatch:
+// the copy is taken under the stats mutex, so it is always a consistent
+// snapshot, never a torn read of counters mid-merge.
+func (d *Domain) Stats() Stats {
+	np := d.np
 	np.statsMu.Lock()
 	defer np.statsMu.Unlock()
-	return np.stats
+	switch {
+	case d.part == nil:
+		return np.stats
+	case np.domains.Load() != d.part:
+		return Stats{}
+	}
+	return d.part.stats[d.idx]
 }
 
-// mergeStats folds a per-call delta into the aggregate — and, when a
-// domain partition is installed and the delta is attributable to a core,
-// into that core's domain account — under the stats mutex, then mirrors
-// the delta into the telemetry counters (nil-safe no-ops without a
-// collector). The delta is computed lock-free on the packet path; only the
-// fold serializes. coreID < 0 skips domain attribution.
+// mergeStats folds one core's per-call delta into the aggregate and that
+// core's domain account under the stats mutex, then mirrors the delta
+// into the telemetry counters (nil-safe no-ops without a collector). The
+// delta is computed lock-free on the packet path; only the fold
+// serializes.
 func (np *NP) mergeStats(d *Stats, coreID int) {
 	np.statsMu.Lock()
 	np.stats.add(d)
-	if len(np.domains) > 1 && coreID >= 0 && coreID < len(np.slotDomain) {
-		np.domStats[np.slotDomain[coreID]].add(d)
-	}
+	p := np.domains.Load()
+	p.stats[p.slotDomain[coreID]].add(d)
 	np.statsMu.Unlock()
 	np.mirrorStats(d)
 }
@@ -315,12 +323,10 @@ func (np *NP) mergeStats(d *Stats, coreID int) {
 func (np *NP) mergeDeltas(deltas []Stats) Stats {
 	var merged Stats
 	np.statsMu.Lock()
-	dom := len(np.domains) > 1
+	p := np.domains.Load()
 	for i := range deltas {
 		merged.add(&deltas[i])
-		if dom && i < len(np.slotDomain) {
-			np.domStats[np.slotDomain[i]].add(&deltas[i])
-		}
+		p.stats[p.slotDomain[i]].add(&deltas[i])
 	}
 	np.stats.add(&merged)
 	np.statsMu.Unlock()
@@ -401,23 +407,30 @@ func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*prepare
 	return p, nil
 }
 
-// Install loads a verified bundle onto one core: the processing binary, the
-// monitoring graph, and the hash parameter. This is the step the secure
-// installation protocol gates; the NP itself trusts its caller (the control
-// processor) to have verified the package. Install is destructive — the
-// previous installation is discarded along with any staged or retained
-// version; live upgrades use StageInstall/Commit (upgrade.go) instead.
-func (np *NP) Install(coreID int, name string, binary, graph []byte, param uint32) error {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return fmt.Errorf("npu: core %d out of range", coreID)
-	}
-	p, err := np.prepare(name, binary, graph, param)
+// Install loads a verified bundle onto one core the view owns: the
+// processing binary, the monitoring graph, and the hash parameter. This is
+// the step the secure installation protocol gates; the NP itself trusts
+// its caller (the control processor) to have verified the package. Install
+// is destructive — the previous installation is discarded along with any
+// staged or retained version; live upgrades use StageInstall/Commit
+// (upgrade.go) instead.
+func (d *Domain) Install(coreID int, name string, binary, graph []byte, param uint32) error {
+	slot, err := d.slot(coreID)
 	if err != nil {
 		return err
 	}
-	slot := np.slots[coreID]
+	p, err := d.np.prepare(name, binary, graph, param)
+	if err != nil {
+		return err
+	}
+	d.np.install(slot, p)
+	return nil
+}
+
+// install makes a prepared image live on a slot, discarding any staged or
+// retained version.
+func (np *NP) install(slot *coreSlot, p *preparedApp) {
 	slot.mu.Lock()
-	defer slot.mu.Unlock()
 	slot.setLive(p)
 	slot.staged = nil
 	slot.prev = nil
@@ -425,9 +438,9 @@ func (np *NP) Install(coreID int, name string, binary, graph []byte, param uint3
 	// re-install (fresh core memory, fresh monitor) is the probe step of
 	// the quarantine policy.
 	slot.sup.onInstall()
+	slot.mu.Unlock()
 	slot.ring.Emit(obs.EvInstall, 0, 0)
 	np.mInstalls.Inc()
-	return nil
 }
 
 // TraceDump returns the core's forensic trace (last n instructions), or ""
@@ -439,30 +452,20 @@ func (np *NP) TraceDump(coreID, n int) string {
 	return np.slots[coreID].tracer.Dump(n)
 }
 
-// InstallAll installs the same bundle on every core, transactionally: every
-// core's image is prepared and self-checked before any slot is mutated, so a
-// bundle that fails validation for core N can no longer leave cores 0..N-1
-// upgraded and the rest stale. (Per-core preparation matters even for an
+// InstallAll installs the same bundle on every core the view owns,
+// transactionally: every core's image is prepared and self-checked before
+// any slot is mutated, so a bundle that fails validation for core N can no
+// longer leave cores 0..N-1 upgraded and the rest stale. Cores outside the
+// view are never touched. (Per-core preparation matters even for an
 // identical bundle — the configured hash-unit factory may be stateful, as
 // the fault-injection suite's flaky hashers are.)
-func (np *NP) InstallAll(name string, binary, graph []byte, param uint32) error {
-	prepared := make([]*preparedApp, len(np.slots))
-	for i := range np.slots {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
+func (d *Domain) InstallAll(name string, binary, graph []byte, param uint32) error {
+	prepared, err := d.prepareAll(name, binary, graph, param)
+	if err != nil {
+		return err
 	}
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		slot.setLive(prepared[i])
-		slot.staged = nil
-		slot.prev = nil
-		slot.sup.onInstall()
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvInstall, 0, 0)
-		np.mInstalls.Inc()
+	for i, coreID := range d.cores {
+		d.np.install(d.np.slots[coreID], prepared[i])
 	}
 	return nil
 }

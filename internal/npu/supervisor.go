@@ -174,27 +174,41 @@ func (np *NP) CoreHealth(coreID int) (CoreHealth, error) {
 	return CoreHealthy, nil
 }
 
-// AvailableCores counts loaded, non-quarantined cores.
-func (np *NP) AvailableCores() int {
+// AvailableCores counts the view's loaded, non-quarantined cores (none, on
+// a stale view). It takes each slot's lock, so it is safe to call while
+// the NP is processing.
+func (d *Domain) AvailableCores() int {
+	if d.Err() != nil {
+		return 0
+	}
 	n := 0
-	for _, s := range np.slots {
+	for _, coreID := range d.cores {
+		s := d.np.slots[coreID]
+		s.mu.Lock()
 		if s.available() {
 			n++
 		}
+		s.mu.Unlock()
 	}
 	return n
 }
 
-// Quarantine removes a core from dispatch manually (operator action, the
-// degraded-throughput bench, or a mid-run failover drill). It works with or
-// without the supervisor; the core returns via re-installation like any
-// quarantined core. The slot lock orders the write against an in-flight
-// packet, so quarantining a core that is actively processing is safe.
-func (np *NP) Quarantine(coreID int) error {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return fmt.Errorf("npu: core %d out of range", coreID)
+// Healthy reports whether at least one of the view's cores can take
+// traffic — the per-lane health probe of the shard plane's failover logic.
+// A stale view is never healthy.
+func (d *Domain) Healthy() bool { return d.AvailableCores() > 0 }
+
+// Quarantine removes a core the view owns from dispatch (operator action,
+// a tenant responder isolating its own core, or a mid-run failover
+// drill). It works with or without the supervisor; the core returns via
+// re-installation like any quarantined core. The slot lock orders the
+// write against an in-flight packet, so quarantining a core that is
+// actively processing is safe.
+func (d *Domain) Quarantine(coreID int) error {
+	s, err := d.slot(coreID)
+	if err != nil {
+		return err
 	}
-	s := np.slots[coreID]
 	s.mu.Lock()
 	s.sup.quarantined = true
 	s.mu.Unlock()

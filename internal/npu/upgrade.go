@@ -35,62 +35,60 @@ var (
 // Switch path charges.
 const commitCycles = 64
 
-// StageInstall prepares a bundle into a core's shadow slot: deserialize the
-// binary and graph, compile the packed monitor, build the hash unit, and run
-// the graph/binary self-check — all without touching the live slot, which
-// keeps serving packets. A later StageInstall replaces the staged bundle; a
-// quarantined core may stage (that is how it gets healed) but stays out of
-// dispatch until the commit re-introduces it on probation.
-func (np *NP) StageInstall(coreID int, name string, binary, graph []byte, param uint32) error {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return fmt.Errorf("npu: core %d out of range", coreID)
-	}
-	p, err := np.prepare(name, binary, graph, param)
+// StageInstall prepares a bundle into the shadow slot of a core the view
+// owns: deserialize the binary and graph, compile the packed monitor,
+// build the hash unit, and run the graph/binary self-check — all without
+// touching the live slot, which keeps serving packets. A later
+// StageInstall replaces the staged bundle; a quarantined core may stage
+// (that is how it gets healed) but stays out of dispatch until the commit
+// re-introduces it on probation.
+func (d *Domain) StageInstall(coreID int, name string, binary, graph []byte, param uint32) error {
+	slot, err := d.slot(coreID)
 	if err != nil {
 		return err
 	}
-	slot := np.slots[coreID]
+	p, err := d.np.prepare(name, binary, graph, param)
+	if err != nil {
+		return err
+	}
+	d.np.stage(slot, p)
+	return nil
+}
+
+// stage writes a prepared image into a slot's shadow slot.
+func (np *NP) stage(slot *coreSlot, p *preparedApp) {
 	slot.mu.Lock()
 	slot.staged = p
 	slot.mu.Unlock()
 	slot.ring.Emit(obs.EvStage, 0, 0)
 	np.mStages.Inc()
-	return nil
 }
 
-// StageInstallAll stages the same bundle on every core. Preparation happens
-// for every core before any shadow slot is written, so a failure leaves all
-// cores exactly as they were.
-func (np *NP) StageInstallAll(name string, binary, graph []byte, param uint32) error {
-	prepared := make([]*preparedApp, len(np.slots))
-	for i := range np.slots {
-		p, err := np.prepare(name, binary, graph, param)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
+// StageInstallAll stages the same bundle on every core the view owns.
+// Preparation happens for every core before any shadow slot is written, so
+// a failure leaves all cores exactly as they were.
+func (d *Domain) StageInstallAll(name string, binary, graph []byte, param uint32) error {
+	prepared, err := d.prepareAll(name, binary, graph, param)
+	if err != nil {
+		return err
 	}
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		slot.staged = prepared[i]
-		slot.mu.Unlock()
-		slot.ring.Emit(obs.EvStage, 0, 0)
-		np.mStages.Inc()
+	for i, coreID := range d.cores {
+		d.np.stage(d.np.slots[coreID], prepared[i])
 	}
 	return nil
 }
 
-// Commit cuts one core over to its staged bundle at a packet boundary: the
-// per-core lock waits for the in-flight packet (if any) to retire, the
-// staged image becomes live, and the displaced image is retained for
-// Rollback. A quarantined core re-enters dispatch on probation, exactly like
-// a destructive re-install. Returns the simulated cutover cost in core
-// cycles. Safe to call while ProcessBatch is running.
-func (np *NP) Commit(coreID int) (uint64, error) {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return 0, fmt.Errorf("npu: core %d out of range", coreID)
+// Commit cuts a core the view owns over to its staged bundle at a packet
+// boundary: the per-core lock waits for the in-flight packet (if any) to
+// retire, the staged image becomes live, and the displaced image is
+// retained for Rollback. A quarantined core re-enters dispatch on
+// probation, exactly like a destructive re-install. Returns the simulated
+// cutover cost in core cycles. Safe to call while ProcessBatch is running.
+func (d *Domain) Commit(coreID int) (uint64, error) {
+	slot, err := d.slot(coreID)
+	if err != nil {
+		return 0, err
 	}
-	slot := np.slots[coreID]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.staged == nil {
@@ -103,27 +101,29 @@ func (np *NP) Commit(coreID int) (uint64, error) {
 	slot.staged = nil
 	slot.sup.onInstall()
 	slot.ring.Emit(obs.EvCommit, 0, commitCycles)
-	np.mCommits.Inc()
+	d.np.mCommits.Inc()
 	return commitCycles, nil
 }
 
-// CommitAll commits every core, all-or-nothing: if any core has nothing
-// staged, no core is cut over. Cores commit one at a time, each at its own
-// packet boundary — the data plane never pauses fleet-wide, and a packet in
-// flight on core 1 while core 0 commits still sees a consistent (old or new,
-// never mixed) image on whichever core runs it.
-func (np *NP) CommitAll() (uint64, error) {
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		staged := slot.staged != nil
-		slot.mu.Unlock()
-		if !staged {
-			return 0, fmt.Errorf("npu: core %d: %w", i, ErrNothingStaged)
+// CommitAll commits every core the view owns, all-or-nothing: if any of
+// them has nothing staged, none is cut over (bundles staged outside the
+// view are invisible to the check and untouched by the commit). Cores
+// commit one at a time, each at its own packet boundary — the data plane
+// never pauses, and a packet in flight on core 1 while core 0 commits
+// still sees a consistent (old or new, never mixed) image on whichever
+// core runs it.
+func (d *Domain) CommitAll() (uint64, error) {
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	for _, coreID := range d.cores {
+		if !d.np.HasStaged(coreID) {
+			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingStaged)
 		}
 	}
 	var cycles uint64
-	for i := range np.slots {
-		c, err := np.Commit(i)
+	for _, coreID := range d.cores {
+		c, err := d.Commit(coreID)
 		if err != nil {
 			return cycles, err
 		}
@@ -132,71 +132,71 @@ func (np *NP) CommitAll() (uint64, error) {
 	return cycles, nil
 }
 
-// AbortStaged discards a core's staged bundle (no-op if nothing is staged).
-// The live slot is untouched.
-func (np *NP) AbortStaged(coreID int) error {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return fmt.Errorf("npu: core %d out of range", coreID)
+// AbortStaged discards the staged bundle of a core the view owns (no-op if
+// nothing is staged). The live slot is untouched.
+func (d *Domain) AbortStaged(coreID int) error {
+	slot, err := d.slot(coreID)
+	if err != nil {
+		return err
 	}
-	slot := np.slots[coreID]
 	slot.mu.Lock()
 	hadStaged := slot.staged != nil
 	slot.staged = nil
 	slot.mu.Unlock()
 	if hadStaged {
 		slot.ring.Emit(obs.EvAbort, 0, 0)
-		np.mAborts.Inc()
+		d.np.mAborts.Inc()
 	}
 	return nil
 }
 
-// AbortAllStaged discards every core's staged bundle.
-func (np *NP) AbortAllStaged() {
-	for i := range np.slots {
-		_ = np.AbortStaged(i)
+// AbortAllStaged discards the staged bundle of every core the view owns
+// (nothing, on a stale view).
+func (d *Domain) AbortAllStaged() {
+	for _, coreID := range d.cores {
+		_ = d.AbortStaged(coreID)
 	}
 }
 
-// Rollback restores a core's retained previous version at a packet boundary,
-// swapping it with the current live image (so a roll-forward is possible by
-// rolling back again). The retained image keeps its scratch memory — the
-// hardware model is a bank switch, not a reload. The core returns to
-// dispatch on probation if it was quarantined. Returns the simulated cutover
-// cost in cycles.
-func (np *NP) Rollback(coreID int) (uint64, error) {
-	if coreID < 0 || coreID >= len(np.slots) {
-		return 0, fmt.Errorf("npu: core %d out of range", coreID)
+// Rollback restores the retained previous version of a core the view owns
+// at a packet boundary, swapping it with the current live image (so a
+// roll-forward is possible by rolling back again). The retained image keeps
+// its scratch memory — the hardware model is a bank switch, not a reload.
+// The core returns to dispatch on probation if it was quarantined. Returns
+// the simulated cutover cost in cycles.
+func (d *Domain) Rollback(coreID int) (uint64, error) {
+	slot, err := d.slot(coreID)
+	if err != nil {
+		return 0, err
 	}
-	slot := np.slots[coreID]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.prev == nil {
 		return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingRetained)
 	}
 	displaced := slot.liveImage()
-	s := slot.prev
-	slot.setLive(s)
+	slot.setLive(slot.prev)
 	slot.prev = displaced
 	slot.sup.onInstall()
 	slot.ring.Emit(obs.EvRollback, 0, commitCycles)
-	np.mRollbacks.Inc()
+	d.np.mRollbacks.Inc()
 	return commitCycles, nil
 }
 
-// RollbackAll rolls every core back, all-or-nothing: if any core has no
-// retained version, no core is touched.
-func (np *NP) RollbackAll() (uint64, error) {
-	for i, slot := range np.slots {
-		slot.mu.Lock()
-		ok := slot.prev != nil
-		slot.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("npu: core %d: %w", i, ErrNothingRetained)
+// RollbackAll rolls back every core the view owns, all-or-nothing: if any
+// of them has no retained version, none is touched.
+func (d *Domain) RollbackAll() (uint64, error) {
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	for _, coreID := range d.cores {
+		if !d.np.CanRollback(coreID) {
+			return 0, fmt.Errorf("npu: core %d: %w", coreID, ErrNothingRetained)
 		}
 	}
 	var cycles uint64
-	for i := range np.slots {
-		c, err := np.Rollback(i)
+	for _, coreID := range d.cores {
+		c, err := d.Rollback(coreID)
 		if err != nil {
 			return cycles, err
 		}

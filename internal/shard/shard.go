@@ -35,7 +35,7 @@
 //     and counter set per (card, tenant) — and dispatch classifies each
 //     packet to a tenant (flow class) before picking a shard, so a
 //     tenant's flows only ever land on its own lanes and drain onto its
-//     own npu protection domain (npu.DrainBatchDomain). Isolation is
+//     own npu protection domain (the lane's npu.Domain view). Isolation is
 //     structural: tenant A flooding its lane past capacity tail-drops A's
 //     packets on A's counters; B's lane, thresholds, and counters never
 //     move. A lane whose domain wedges fails over alone (its flows rehash
@@ -187,9 +187,12 @@ type Config struct {
 	// disables telemetry.
 	Obs *obs.Collector
 	// Tenancy, when non-nil with more than one tenant, splits every shard
-	// into per-tenant lanes dispatched by Classify. Nil (or one tenant)
-	// keeps the historical single-tenant plane: one lane per card, the
-	// whole NP as its domain, unlabeled metric names.
+	// into per-tenant lanes dispatched by Classify, each draining through
+	// its tenant's npu domain view. Nil (or one tenant) keeps the
+	// single-tenant plane: one lane per card draining through the NP's
+	// whole-NP view (npu.NP.Whole), unlabeled metric names. A lane whose
+	// view goes stale (its card repartitioned under the plane) is refused
+	// every batch with npu.ErrUnknownDomain and fails over.
 	Tenancy *TenancyConfig
 	// RecordBatchCycles retains every drained batch's simulated cycle cost
 	// for latency percentiles. Bench-only: it allocates per batch.
@@ -205,9 +208,12 @@ type Config struct {
 // the packet (or the management call) to this tenant.
 type tenantLane struct {
 	tenant int
-	domain string
-	ring   *obs.EventRing
-	depth  *obs.Gauge
+	// view is the npu view this lane drains onto and probes the health
+	// of: the tenant's protection domain, or the whole NP on a
+	// single-tenant plane.
+	view  *npu.Domain
+	ring  *obs.EventRing
+	depth *obs.Gauge
 
 	queue *bufRing
 	pool  *arena
@@ -251,13 +257,13 @@ type tenantLane struct {
 	inflight  atomic.Int64
 }
 
-// lineCard is one shard: an NP, its per-tenant lanes, and the worker state
-// draining them. The mutex below exists only as the worker's parking lot
-// (and for the bench-only batch-cycle log).
+// lineCard is one shard: an NP's per-tenant lanes (each holding its view
+// of the NP) and the worker state draining them. The mutex below exists
+// only as the worker's parking lot (and for the bench-only batch-cycle
+// log).
 type lineCard struct {
 	id    int
 	salt  uint64
-	np    *npu.NP
 	lanes []*tenantLane
 
 	// alive is the dispatcher's view; cleared exactly once by failCard,
@@ -460,32 +466,28 @@ func NewPlane(cfg Config) (*Plane, error) {
 		if np == nil {
 			return nil, fmt.Errorf("shard: NP %d is nil", i)
 		}
-		if numT > 1 {
-			// Every tenant must own a protection domain on every card, or
-			// its flows would have nowhere to run when they land there.
-			for _, name := range tenants {
-				if _, err := np.DomainCores(name); err != nil {
-					return nil, fmt.Errorf("shard: NP %d: %w", i, err)
-				}
-			}
-		}
 		lc := &lineCard{
 			id: i,
 			// Golden-ratio stride keeps shard salts well separated; mix64
 			// in the weight function does the rest.
 			salt: mix64(uint64(i)*0x9E3779B97F4A7C15 + 1),
-			np:   np,
 		}
 		for t, name := range tenants {
 			tlabel := ""
-			domain := ""
+			view := np.Whole()
 			if numT > 1 {
+				// Every tenant must own a protection domain on every card,
+				// or its flows would have nowhere to run when they land
+				// there.
 				tlabel = name
-				domain = name
+				var err error
+				if view, err = np.Domain(name); err != nil {
+					return nil, fmt.Errorf("shard: NP %d: %w", i, err)
+				}
 			}
 			lane := &tenantLane{
 				tenant: t,
-				domain: domain,
+				view:   view,
 				ring:   cfg.Obs.Ring(i*numT + t),
 				depth: reg.Gauge(obs.Labeled("shard_queue_depth",
 					"shard", strconv.Itoa(i), "tenant", tlabel)),
@@ -846,7 +848,6 @@ func (p *Plane) worker(lc *lineCard) {
 	defer p.wg.Done()
 	batch := make([][]byte, p.batchSize)
 	bufs := make([]*pbuf, p.batchSize)
-	single := len(lc.lanes) == 1
 	for {
 		if lc.failed.Load() {
 			p.shedAndExit(lc, 0)
@@ -896,21 +897,8 @@ func (p *Plane) worker(lc *lineCard) {
 					bufs[i] = nil
 				}
 			}
-			var out npu.BatchOutcome
-			var err error
-			if single {
-				out, err = lc.np.DrainBatchRelease(batch[:n], lane.queue.Len(), release)
-			} else {
-				out, err = lc.np.DrainBatchDomainRelease(lane.domain, batch[:n], lane.queue.Len(), release)
-			}
-
-			healthy := false
-			if single {
-				healthy = lc.np.Healthy()
-			} else {
-				healthy = lc.np.HealthyDomain(lane.domain)
-			}
-			dead := !healthy ||
+			out, err := lane.view.DrainBatchRelease(batch[:n], lane.queue.Len(), release)
+			dead := !lane.view.Healthy() ||
 				(err != nil && (errors.Is(err, npu.ErrNoCoreAvailable) || errors.Is(err, npu.ErrNoAppInstalled)))
 
 			lc.batches.Add(1)
@@ -1220,61 +1208,51 @@ type ShardStats struct {
 	Backlog   int // on the rings + in the worker's unaccounted batch at snapshot time
 }
 
-// TenantStats is one tenant's accounting across every card, plus the
-// submissions starved before reaching any card. The per-tenant
-// conservation invariant is stated on this struct.
-type TenantStats struct {
-	Tenant    int
-	Name      string
+// Ledger is the packet-outcome ledger the plane keeps in aggregate and
+// per tenant, with the one conservation invariant both are held to.
+type Ledger struct {
 	Arrived   uint64
-	TailDrops uint64
-	Marked    uint64
-	Starved   uint64
-	Processed uint64
 	Forwarded uint64
-	AppDrops  uint64
-	Rejected  uint64
+	AppDrops  uint64 // verdict, alarm and fault drops
+	Rejected  uint64 // refused before execution on a healthy NP (oversize)
+	TailDrops uint64
+	Marked    uint64 // CE-marked at admission
+	Starved   uint64 // failover sheds + submissions with no healthy shard
+	ECNMarked uint64 // forwarded packets leaving with the CE mark
+	Backlog   uint64 // on the rings + in a worker's unaccounted batch
+}
+
+// Conserved checks packet conservation: every arrived packet is exactly
+// one of forwarded, app-dropped, rejected, tail-dropped, starved, or still
+// queued — at any instant, not just at quiescence. This is the invariant
+// the fault-injection suite pins; a lost or double-counted packet surfaces
+// as a nonzero (or wrapped-negative) Backlog once the plane quiesces.
+func (l Ledger) Conserved() bool {
+	return l.Arrived == l.Forwarded+l.AppDrops+l.Rejected+l.TailDrops+l.Starved+l.Backlog
+}
+
+// TenantStats is one tenant's accounting across every card, plus the
+// submissions starved before reaching any card. Its Ledger is the
+// per-tenant conservation invariant.
+type TenantStats struct {
+	Tenant int
+	Name   string
+	Ledger
+	Processed uint64
 	Alarms    uint64
 	Faults    uint64
-	ECNMarked uint64
 	Cycles    uint64
-	Backlog   uint64
 	LanesDead int // failed (card, tenant) lanes
 }
 
-// Conserved checks the per-tenant conservation invariant: every packet
-// classified to this tenant is exactly one of forwarded, app-dropped,
-// rejected, tail-dropped, starved, or still queued — at any instant, not
-// just at quiescence.
-func (s TenantStats) Conserved() bool {
-	return s.Arrived == s.Forwarded+s.AppDrops+s.Rejected+s.TailDrops+s.Starved+s.Backlog
-}
-
-// PlaneStats aggregates the plane.
+// PlaneStats aggregates the plane. Its Ledger's Arrived counts every
+// Submit call, including submissions the classifier refused (which belong
+// to no tenant).
 type PlaneStats struct {
 	Shards  []ShardStats
 	Tenants []TenantStats
-	// Arrived counts total Submit calls, including submissions the
-	// classifier refused (which belong to no tenant).
-	Arrived   uint64
-	Forwarded uint64
-	AppDrops  uint64
-	Rejected  uint64
-	TailDrops uint64
-	Marked    uint64
-	Starved   uint64 // failover sheds + submissions with no healthy shard
-	ECNMarked uint64
-	Backlog   uint64
+	Ledger
 	Failovers uint64
-}
-
-// Conserved checks packet conservation: every submitted packet is exactly
-// one of forwarded, app-dropped, rejected, tail-dropped, starved, or still
-// queued. This is the invariant the fault-injection suite pins; a lost or
-// double-counted packet surfaces as a nonzero (or wrapped-negative)
-// Backlog once the plane quiesces.
-func (s PlaneStats) Conserved() bool {
-	return s.Arrived == s.Forwarded+s.AppDrops+s.Rejected+s.TailDrops+s.Starved+s.Backlog
 }
 
 // Stats snapshots the plane without stopping it. Per lane, the settled

@@ -289,18 +289,18 @@ func TestQuarantinedDomainFailsLaneNotCard(t *testing.T) {
 	plane := twoTenantPlane(t, 2, nil, nil)
 	defer plane.Close()
 
-	// Wedge tenant a's domain on card 0 through the domain-gated
+	// Wedge tenant a's domain on card 0 through its domain view's
 	// supervisor entry point.
-	np0 := plane.cards[0].np
+	a, b := plane.cards[0].lanes[0].view, plane.cards[0].lanes[1].view
 	for _, core := range []int{0, 1} {
-		if err := np0.QuarantineDomain("a", core); err != nil {
+		if err := a.Quarantine(core); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if np0.HealthyDomain("a") {
+	if a.Healthy() {
 		t.Fatal("domain a still healthy after quarantining both cores")
 	}
-	if !np0.HealthyDomain("b") {
+	if !b.Healthy() {
 		t.Fatal("quarantining domain a took down domain b")
 	}
 

@@ -3,12 +3,11 @@ package tenant
 // Tenant-scoped canary rollouts: the internal/rollout wave engine (canary
 // first, health gate against the unit's own baseline, automatic rollback on
 // regression) applied to one tenant's protection domain across the plane's
-// NPs. Every step addresses cores through the tenant's domain name —
-// StageInstallDomainAll, CommitDomainAll, RollbackDomainAll — so the
-// rollout is structurally unable to touch another tenant's slots: the npu
-// layer refuses out-of-domain cores before any state moves, and the
-// isolation test byte-compares a bystander's telemetry across a hostile
-// rollout to prove it.
+// NPs. Every step addresses cores through the tenant's domain view on each
+// NP — StageInstallAll, CommitAll, RollbackAll — so the rollout is
+// structurally unable to touch another tenant's slots: a view reaches only
+// its domain's cores, and the isolation test byte-compares a bystander's
+// telemetry across a hostile rollout to prove it.
 
 import (
 	"errors"
@@ -52,20 +51,14 @@ type Report struct {
 // and measures the domain's own outcome. The batch-local delta (DrainBatch
 // reports exactly this batch's counters) plus the domain quarantine delta
 // make the sample immune to concurrent traffic on other tenants' cores.
-func sampleDomain(np *npu.NP, domain string, gen *packet.Generator, n int) (rollout.Sample, error) {
+func sampleDomain(view *npu.Domain, gen *packet.Generator, n int) (rollout.Sample, error) {
 	pkts := make([][]byte, n)
 	for i := range pkts {
 		pkts[i] = gen.Next()
 	}
-	before, err := np.StatsDomain(domain)
-	if err != nil {
-		return rollout.Sample{}, err
-	}
-	out, derr := np.DrainBatchDomain(domain, pkts, 0)
-	after, err := np.StatsDomain(domain)
-	if err != nil {
-		return rollout.Sample{}, err
-	}
+	before := view.Stats()
+	out, derr := view.DrainBatch(pkts, 0)
+	after := view.Stats()
 	h := rollout.Sample{
 		Processed:   out.Processed,
 		Alarms:      out.Alarms,
@@ -124,38 +117,38 @@ func (m *Manager) Rollout(tenant string, b AppBundle, gate rollout.Gate, seed in
 		return finish("bundle build failed", err)
 	}
 
-	// Every action addresses cores through the tenant's domain name.
+	// Every action addresses cores through the tenant's domain views.
 	t := rollout.Target{
 		Probe: func(i, _ int, post bool) (rollout.Sample, error) {
 			gs := seed ^ int64(i)<<8
 			if post {
 				gs ^= 0x5a5a
 			}
-			s, err := sampleDomain(m.nps[i], tenant, packet.NewGenerator(gs), gate.HealthPackets)
+			s, err := sampleDomain(ts.views[i], packet.NewGenerator(gs), gate.HealthPackets)
 			if err != nil && !post {
 				err = fmt.Errorf("tenant: baseline on NP %d: %w", i, err)
 			}
 			return s, err
 		},
 		Stage: func(i, _ int) error {
-			if err := m.nps[i].StageInstallDomainAll(tenant, b.App.Name, binary, graph, b.Param); err != nil {
+			if err := ts.views[i].StageInstallAll(b.App.Name, binary, graph, b.Param); err != nil {
 				return fmt.Errorf("tenant: stage on NP %d: %w", i, err)
 			}
 			return nil
 		},
 		Commit: func(i, _ int) error {
-			if _, err := m.nps[i].CommitDomainAll(tenant); err != nil {
+			if _, err := ts.views[i].CommitAll(); err != nil {
 				return fmt.Errorf("%w on NP %d: %w", errCommit, i, err)
 			}
 			return nil
 		},
 		Rollback: func(i int) error {
-			if _, err := m.nps[i].RollbackDomainAll(tenant); err != nil {
+			if _, err := ts.views[i].RollbackAll(); err != nil {
 				return fmt.Errorf("rollback on NP %d: %w", i, err)
 			}
 			return nil
 		},
-		Abort: func(i int) { _ = m.nps[i].AbortStagedDomain(tenant) },
+		Abort: func(i int) { ts.views[i].AbortAllStaged() },
 	}
 	units := make([]rollout.Unit, len(m.nps))
 	waves := make([][]int, len(m.nps))

@@ -10,10 +10,11 @@
 // into per-tenant protection domains:
 //
 //   - cores: each tenant owns an exclusive slice of every NP's core slots
-//     (npu.SetDomains), and every install, stage, commit, rollback and
-//     quarantine the manager performs goes through the domain-gated npu
-//     entry points — a call that names another tenant's core is refused
-//     with npu.ErrDomainViolation before any state moves;
+//     (npu.SetDomains), and every install, stage, commit, rollback,
+//     quarantine and stats read the manager performs goes through the
+//     tenant's npu domain view on that NP, resolved once at New — a call
+//     that names another tenant's core is refused with
+//     npu.ErrDomainViolation before any state moves;
 //
 //   - monitoring: each tenant's bundles carry its own monitoring graphs,
 //     extracted under its own hash parameter, so one tenant learning
@@ -38,7 +39,7 @@
 // canaries on its own slots of NP 0, health-gates against its own domain
 // statistics, and rolls back its own domain fleet-wide on regression —
 // structurally unable to touch anyone else's slots because every step
-// addresses cores through the tenant's domain name.
+// addresses cores through the tenant's domain views.
 package tenant
 
 import (
@@ -118,6 +119,8 @@ type Config struct {
 type tenantState struct {
 	name   string
 	ledger *seccrypto.SequenceLedger
+	// views[i] is the tenant's protection domain on NP i.
+	views []*npu.Domain
 
 	mInstalls  *obs.Counter
 	mRollouts  *obs.Counter
@@ -156,9 +159,16 @@ func New(cfg Config) (*Manager, error) {
 		specs[i] = npu.DomainSpec{Name: sp.Name, Cores: sp.Cores}
 		names[i] = sp.Name
 	}
+	views := make([][]*npu.Domain, len(names)) // [tenant][NP]
+	for t := range views {
+		views[t] = make([]*npu.Domain, len(cfg.NPs))
+	}
 	for i, np := range cfg.NPs {
 		if err := np.SetDomains(specs); err != nil {
 			return nil, fmt.Errorf("tenant: NP %d: %w", i, err)
+		}
+		for t, name := range names {
+			views[t][i], _ = np.Domain(name) // SetDomains just installed it
 		}
 	}
 	var tenancy *shard.TenancyConfig
@@ -190,6 +200,7 @@ func New(cfg Config) (*Manager, error) {
 		m.tenants = append(m.tenants, &tenantState{
 			name:       name,
 			ledger:     seccrypto.NewSequenceLedger(),
+			views:      views[i],
 			mInstalls:  reg.Counter(obs.Labeled("tenant_installs_total", "tenant", name)),
 			mRollouts:  reg.Counter(obs.Labeled("tenant_rollouts_completed_total", "tenant", name)),
 			mRollbacks: reg.Counter(obs.Labeled("tenant_rollbacks_total", "tenant", name)),
@@ -266,8 +277,8 @@ func (m *Manager) Install(tenant string, b AppBundle) error {
 	if err != nil {
 		return err
 	}
-	for i, np := range m.nps {
-		if err := np.InstallDomainAll(tenant, b.App.Name, binary, graph, b.Param); err != nil {
+	for i, v := range ts.views {
+		if err := v.InstallAll(b.App.Name, binary, graph, b.Param); err != nil {
 			return fmt.Errorf("tenant: install on NP %d: %w", i, err)
 		}
 	}
@@ -329,12 +340,11 @@ func (m *Manager) Snapshot(tenant string) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	snap := Snapshot{Tenant: tenant, Plane: ps}
-	for _, np := range m.nps {
-		ds, err := np.StatsDomain(tenant)
-		if err != nil {
+	for _, v := range m.tenants[idx].views {
+		if err := v.Err(); err != nil {
 			return Snapshot{}, err
 		}
-		snap.Domains = append(snap.Domains, ds)
+		snap.Domains = append(snap.Domains, v.Stats())
 	}
 	return snap, nil
 }
@@ -343,13 +353,14 @@ func (m *Manager) Snapshot(tenant string) (Snapshot, error) {
 // tenant-scoped isolate_core response action. A core outside the tenant's
 // domain is refused with npu.ErrDomainViolation.
 func (m *Manager) Quarantine(tenant string, np, core int) error {
-	if _, err := m.state(tenant); err != nil {
+	ts, err := m.state(tenant)
+	if err != nil {
 		return err
 	}
-	if np < 0 || np >= len(m.nps) {
+	if np < 0 || np >= len(ts.views) {
 		return fmt.Errorf("tenant: no NP %d", np)
 	}
-	return m.nps[np].QuarantineDomain(tenant, core)
+	return ts.views[np].Quarantine(core)
 }
 
 // Lockdown closes one tenant's admission plane-wide (and only that

@@ -219,9 +219,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 	}
 	bStats := make([]npu.Stats, len(mgr.nps))
 	for i, np := range mgr.nps {
-		if bStats[i], err = np.StatsDomain("b"); err != nil {
-			t.Fatal(err)
-		}
+		bStats[i] = domainOf(t, np, "b").Stats()
 	}
 
 	bad := AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}
@@ -255,10 +253,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 		t.Fatalf("bystander telemetry changed across tenant a's rollback:\nbefore %s\nafter  %s", bBefore, bAfter)
 	}
 	for i, np := range mgr.nps {
-		ds, err := np.StatsDomain("b")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ds := domainOf(t, np, "b").Stats()
 		if !reflect.DeepEqual(ds, bStats[i]) {
 			t.Fatalf("NP %d: bystander domain stats changed: %+v -> %+v", i, bStats[i], ds)
 		}
@@ -267,7 +262,7 @@ func TestRolloutRegressionBystanderByteIdentical(t *testing.T) {
 				t.Fatalf("NP %d core %d: bystander app %q ok=%v after rollback", i, core, name, ok)
 			}
 		}
-		if !np.HealthyDomain("b") {
+		if !domainOf(t, np, "b").Healthy() {
 			t.Fatalf("NP %d: bystander domain unhealthy after a's rollback", i)
 		}
 	}
@@ -308,7 +303,7 @@ func TestRolloutQuarantineGate(t *testing.T) {
 	}
 	// The blast radius stays inside tenant a: b's domain never loses a core.
 	for i, np := range mgr.nps {
-		if !np.HealthyDomain("b") {
+		if !domainOf(t, np, "b").Healthy() {
 			t.Fatalf("NP %d: bystander lost health during a's quarantine storm", i)
 		}
 	}
@@ -430,7 +425,7 @@ func TestRolloutLaterNPRegressionRollsBackAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.nps[2].InstallDomainAll("a", "udpecho", clean, graph, 0xA1); err != nil {
+	if err := domainOf(t, mgr.nps[2], "a").InstallAll("udpecho", clean, graph, 0xA1); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := mgr.Rollout("a", AppBundle{App: apps.FaultyEcho(), Param: 0xA2, Version: "1.1", Sequence: 2}, rollout.Gate{HealthPackets: 32}, 5)
@@ -452,10 +447,20 @@ func TestRolloutLaterNPRegressionRollsBackAll(t *testing.T) {
 	}
 	// NP 2 is back on the clean echo (FaultyEcho shares its name and
 	// parameter, so only the traffic tells them apart).
-	if h, err := sampleDomain(mgr.nps[2], "a", packet.NewGenerator(1), 16); err != nil || h.Rate() != 0 {
+	if h, err := sampleDomain(domainOf(t, mgr.nps[2], "a"), packet.NewGenerator(1), 16); err != nil || h.Rate() != 0 {
 		t.Fatalf("NP 2 after rollback: sample %+v err %v, want the clean echo", h, err)
 	}
 	if hw, _ := mgr.HighWater("a", "udpecho"); hw != 1 {
 		t.Fatalf("rolled-back rollout advanced the ledger to %d", hw)
 	}
+}
+
+// domainOf resolves a tenant's protection-domain view on one NP.
+func domainOf(t *testing.T, np *npu.NP, name string) *npu.Domain {
+	t.Helper()
+	d, err := np.Domain(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
