@@ -75,8 +75,8 @@ func runCampaign(scenario string, seed int64, incidentsPath string) error {
 		fmt.Printf("  responses: isolated=%d tightened=%d rehashed=%d zeroized=%v lockdown=%v  incidents=%d  replay=byte-identical (%d bytes)\n",
 			a.IsolatedCores, a.AdmissionTightened, a.FailedShards, a.StagedZeroized, a.LockdownFired, len(a.Incidents), len(ab))
 		st := a.Stats
-		fmt.Printf("  conservation: arrived=%d = processed=%d + taildrops=%d + starved=%d + backlog=%d (marked=%d alarms=%d)\n",
-			st.Arrived, st.Processed, st.TailDrops, st.Starved, st.Backlog, st.Marked, st.Alarms)
+		fmt.Printf("  conservation: arrived=%d = forwarded=%d + appdrops=%d + rejected=%d + taildrops=%d + starved=%d + backlog=%d (marked=%d)\n",
+			st.Arrived, st.Forwarded, st.AppDrops, st.Rejected, st.TailDrops, st.Starved, st.Backlog, st.Marked)
 		if a.Collision != nil {
 			fmt.Printf("  collision search: %d probes, %d cycles, found=%v exhausted=%v\n",
 				a.Collision.Attempts, a.Collision.Cycles, a.Collision.Found, a.Collision.Exhausted)

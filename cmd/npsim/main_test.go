@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -182,6 +183,32 @@ func TestBenchWritesModelSeriesOnly(t *testing.T) {
 	}
 	if len(doc) != len(want) {
 		t.Errorf("document has %d keys, want %d", len(doc), len(want))
+	}
+}
+
+// TestBenchBitExact builds the BENCH_npu.json document twice in one
+// process and requires byte-identical output: every model series is a
+// pure function of its seed (the shard and tenant benches drive a stepped
+// plane on a fixed schedule).
+func TestBenchBitExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures every model series twice")
+	}
+	dir := t.TempDir()
+	var docs [2][]byte
+	for i := range docs {
+		out := filepath.Join(dir, fmt.Sprintf("bench%d.json", i))
+		if err := runBench("ipv4cm", 1, out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = data
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Errorf("two bench runs of seed 1 differ (%d vs %d bytes)", len(docs[0]), len(docs[1]))
 	}
 }
 

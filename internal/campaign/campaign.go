@@ -1,7 +1,8 @@
 // Package campaign implements the adversarial attack-campaign engine: a
 // seeded, mutation-driven corpus of attack families run as deterministic
-// fault injection against real monitored NPs, the modeled traffic plane,
-// and the live threat classifier. The paper demonstrates *that* the
+// fault injection against real monitored NPs behind the real shard.Plane
+// (stepped, so every run is a pure function of its schedule), and the
+// live threat classifier. The paper demonstrates *that* the
 // hardware monitor detects its stack-smash attack; this package measures
 // *how fast* and against *what diversity* — packets-to-detection
 // distributions per family, and evasion depth for the mutants that slip
@@ -16,6 +17,7 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"sdmmon/internal/apps"
@@ -26,6 +28,7 @@ import (
 	"sdmmon/internal/npu"
 	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
+	"sdmmon/internal/shard"
 	"sdmmon/internal/threat"
 )
 
@@ -73,8 +76,7 @@ func Families() []string {
 type Config struct {
 	Family string
 	Seed   int64
-	// Shards and Cores size the modeled plane; 0 selects 3 shards of 4
-	// cores.
+	// Shards and Cores size the plane; 0 selects 3 shards of 4 cores.
 	Shards int
 	Cores  int
 	// Ticks is the campaign length in virtual ticks; 0 selects the family
@@ -105,13 +107,15 @@ type Config struct {
 	FreezeAt threat.Level
 }
 
-// Campaign model tuning: per-shard ingress queue and service rates in
-// packets per tick. Service exceeds the nominal arrival rate, so
-// backpressure appears only under a genuine surge.
+// The plane every campaign drives: each card serves serviceBudget packets
+// per tick, above the nominal 30 arrivals per shard, so backpressure
+// appears only under a genuine surge. Arrivals beyond the budget queue: a
+// card holds cardQueue of them and marks (or drops, for not-ECT traffic)
+// past cardMark, its per-core lanes splitting both evenly.
 const (
-	queueCap  = 64
-	markAt    = 32
-	drainRate = 40
+	serviceBudget = 40
+	cardQueue     = 64
+	cardMark      = 32
 	// Warmup is the clean ticks most families run before attacking, giving
 	// the EWMA baselines a quiet floor (the poison family deliberately
 	// skips it — training the baseline is its attack).
@@ -122,24 +126,6 @@ const (
 // distinct from the stream the shard and tenant model benches install
 // (0x600D, npu.NewBenchNP).
 const paramSalt = 0xCAFE
-
-// Stats is the campaign model's packet accounting. Conservation:
-// Arrived == Processed + TailDrops + Starved + Backlog.
-type Stats struct {
-	Arrived   uint64
-	Processed uint64
-	TailDrops uint64
-	Marked    uint64
-	Starved   uint64
-	Backlog   uint64
-	Alarms    uint64
-	Faults    uint64
-}
-
-// Conserved checks the model's packet conservation.
-func (s Stats) Conserved() bool {
-	return s.Arrived == s.Processed+s.TailDrops+s.Starved+s.Backlog
-}
 
 // MutantOutcome records one mutant's fate: what it was, how many packets
 // it injected, whether the classifier caught it, and how deep it got.
@@ -195,7 +181,7 @@ type Result struct {
 	IncidentBytes []byte                   `json:"incident_bytes"`
 	Peak          threat.Level             `json:"peak"`
 	Final         threat.Level             `json:"final"`
-	Stats         Stats                    `json:"stats"`
+	Stats         shard.Ledger             `json:"stats"`
 
 	// PacketsToLevel[l] is how many packets had arrived when the
 	// classifier first reached level l; -1 if it never did.
@@ -225,147 +211,133 @@ type Result struct {
 }
 
 // driver is one family's attack logic plugged into the shared chassis.
+// Families embed quiet and override what they use.
 type driver interface {
 	// detectLevel is the threat level at which the family counts as
 	// detected (PacketsToDetect latches when the classifier first reaches
 	// it).
 	detectLevel() threat.Level
-	// attackShard/attackCores name where this tick's packet attack lands;
-	// empty cores means the family attacks through traffic shape only.
-	attackShard() int
+	// attackCores names the cores of the attack shard that crafted packets
+	// aim at.
 	attackCores() []int
 	// duty is the attack share of the attacked cores' packets at a tick.
 	duty(t int) float64
-	// surge returns extra arrivals aimed at a shard this tick.
+	// surge returns extra ECT(0) arrivals aimed at a shard this tick.
 	surge(t int) (shard, extra int)
-	// craft produces the next attack packet for an attack slot; ok=false
+	// craft produces the next attack packet for an attack slot and the
+	// index of its row in c.res.Mutants (out of range for none); ok=false
 	// downgrades the remaining slots this tick to clean traffic.
-	craft(c *campaign, t, shard, core int) (mi int, pkt []byte, ok bool, err error)
-	// observe sees the processed result of a crafted packet.
-	observe(c *campaign, t, shard, core, mi int, res npu.Result) error
+	craft(c *campaign, t, core int) (mi int, pkt []byte, ok bool, err error)
+	// observe sees the attacked core's domain stats delta over the Step
+	// that drained a crafted packet.
+	observe(c *campaign, core int, d npu.Stats) error
 	// afterTick runs once per tick with the engine's post-tick level.
 	afterTick(c *campaign, t int, lvl threat.Level) error
 	// finish fills family metrics into c.res after the last tick.
 	finish(c *campaign)
 }
 
-// campaign is the run state; it implements threat.Responder so the
-// engine's graded responses mutate the model it is watching.
-type campaign struct {
-	spec Spec
-	drv  driver
+// quiet is the driver that sends nothing; families embed it.
+type quiet struct{}
 
-	nps  []*npu.NP
-	cols []*obs.Collector
-	gen  *packet.Generator
-	rng  *rng
+func (quiet) attackCores() []int                                   { return nil }
+func (quiet) duty(int) float64                                     { return 0 }
+func (quiet) surge(int) (int, int)                                 { return -1, 0 }
+func (quiet) craft(*campaign, int, int) (int, []byte, bool, error) { return 0, nil, false, nil }
+func (quiet) observe(*campaign, int, npu.Stats) error              { return nil }
+func (quiet) afterTick(*campaign, int, threat.Level) error         { return nil }
 
-	appName string
+// rig is a set of monitored line cards running ipv4cm under one seed's
+// hidden hash parameter, each NP publishing into its own collector.
+type rig struct {
 	prog    *asm.Program
+	hasher  mhash.Hasher
 	bin, gb []byte
 	param   uint32
-	hasher  mhash.Hasher
-	smash   attack.SmashConfig
+	nps     []*npu.NP
+	cols    []*obs.Collector
+}
 
-	alive    []bool
-	isolated [][]bool
-	depth    []int
-	capac    []int
-	markAt   []int
-	origAdm  map[int][2]int
-	lockdown bool
+func newRig(seed int64, compression string, shards, cores, events int) (*rig, error) {
+	prog, err := apps.IPv4CM().Program()
+	if err != nil {
+		return nil, err
+	}
+	mk, err := hasherMaker(compression)
+	if err != nil {
+		return nil, err
+	}
+	r := &rig{prog: prog, param: uint32(seed)*2654435761 + paramSalt}
+	r.hasher = mk(r.param)
+	g, err := monitor.Extract(prog, r.hasher)
+	if err != nil {
+		return nil, err
+	}
+	r.bin, r.gb = prog.Serialize(), g.Serialize()
+	for i := 0; i < shards; i++ {
+		// No per-core supervisor: the threat engine is the only quarantine
+		// authority, so the trajectory measures its response alone.
+		col := obs.New(events)
+		np, err := npu.New(npu.Config{Cores: cores, MonitorsEnabled: true, Obs: col, NewHasher: mk})
+		if err != nil {
+			return nil, err
+		}
+		if err := np.InstallAll("ipv4cm", r.bin, r.gb, r.param); err != nil {
+			return nil, err
+		}
+		r.nps, r.cols = append(r.nps, np), append(r.cols, col)
+	}
+	return r, nil
+}
 
-	// per-shard cumulative accounting
-	arrived, processed, tailDrops, marked, starved []uint64
-	alarms, faults                                 []uint64
+// campaign is the run state: the rig's NPs, each split into one-core
+// protection domains, behind a stepped shard.Plane with one lane per core,
+// watched by the threat.Sampler → Engine → PlaneResponder loop.
+type campaign struct {
+	*rig
+	spec  Spec
+	drv   driver
+	plane *shard.Plane
+	views [][]*npu.Domain // [shard][core]: the core's one-core domain
+	gen   *packet.Generator
+	rng   *rng
+	smash attack.SmashConfig
 
-	// atkAcc is the attacked cores' duty-cycle error-diffusion accumulator.
-	atkAcc map[int]float64
-	// atkTick counts attack packets processed in the current tick (drivers
-	// read it in afterTick for slip accounting).
+	// core is the classifier's answer for the packet being submitted (a
+	// stepped Submit is synchronous, so the campaign picks each lane).
+	core int
+	// atkShard is where crafted packets dispatch (-1 until aim fixes it).
+	atkShard int
+	// pending[shard] holds generated clean packets bound for that shard.
+	pending [][][]byte
+	// atkAcc is the attacked cores' duty-cycle error-diffusion accumulator;
+	// atkTick counts this tick's attack packets (for slip accounting).
+	atkAcc  map[int]float64
 	atkTick int
-	// lastLevel is the engine level after the previous tick.
-	lastLevel threat.Level
 
 	res Result
 }
 
-// Responder implementation: the model mirror of threat.PlaneResponder.
-
-func (c *campaign) TightenAdmission(shard int) error {
-	if shard < 0 || shard >= len(c.capac) {
-		return fmt.Errorf("campaign: no shard %d", shard)
+// aim reports whether a crafted packet's flow dispatches to the attack
+// shard; the first packet aimed fixes that shard. An attacker targets one
+// line card, so drivers keep only the mutants that land on it. Without a
+// plane (the live drill's corpus) every packet counts as aimed.
+func (c *campaign) aim(pkt []byte) bool {
+	if c.plane == nil {
+		return true
 	}
-	if _, ok := c.origAdm[shard]; !ok {
-		c.origAdm[shard] = [2]int{c.capac[shard], c.markAt[shard]}
+	s := c.plane.ShardFor(shard.FlowKeyOf(pkt))
+	if c.atkShard < 0 {
+		c.atkShard = s
 	}
-	c.capac[shard] = max(1, c.capac[shard]/2)
-	c.markAt[shard] = max(1, min(c.markAt[shard]/2, c.capac[shard]))
-	c.res.AdmissionTightened++
-	return nil
+	return s == c.atkShard
 }
 
-func (c *campaign) IsolateCore(shard, core int) error {
-	if shard < 0 || shard >= len(c.nps) {
-		return fmt.Errorf("campaign: no shard %d", shard)
-	}
-	if err := c.nps[shard].Quarantine(core); err != nil {
-		return err
-	}
-	if !c.isolated[shard][core] {
-		c.isolated[shard][core] = true
-		c.res.IsolatedCores++
-	}
-	return nil
-}
-
-func (c *campaign) RehashShard(shard int) error {
-	if shard < 0 || shard >= len(c.alive) {
-		return fmt.Errorf("campaign: no shard %d", shard)
-	}
-	if c.alive[shard] {
-		c.alive[shard] = false
-		// Shed the queue as starved drops, mirroring the plane's failover.
-		c.starved[shard] += uint64(c.depth[shard])
-		c.depth[shard] = 0
-		c.res.FailedShards++
-	}
-	return nil
-}
-
-func (c *campaign) ZeroizeStaged() error {
-	for _, np := range c.nps {
-		np.AbortAllStaged()
-	}
-	c.res.StagedZeroized = true
-	return nil
-}
-
-func (c *campaign) Lockdown() error {
-	c.lockdown = true
-	c.res.LockdownFired = true
-	return nil
-}
-
-func (c *campaign) Relax(to threat.Level) error {
-	if to < threat.Critical {
-		c.lockdown = false
-	}
-	if to >= threat.Medium {
-		return nil
-	}
-	for shard, adm := range c.origAdm {
-		c.capac[shard], c.markAt[shard] = adm[0], adm[1]
-	}
-	c.origAdm = map[int][2]int{}
-	return nil
-}
-
-// activeCores lists a shard's non-isolated cores, ascending.
-func (c *campaign) activeCores(shard int) []int {
+// activeCores lists a shard's non-quarantined cores, ascending.
+func (c *campaign) activeCores(s int) []int {
 	var out []int
 	for core := 0; core < c.spec.Cores; core++ {
-		if !c.isolated[shard][core] {
+		if h, err := c.nps[s].CoreHealth(core); err == nil && h != npu.CoreQuarantined {
 			out = append(out, core)
 		}
 	}
@@ -375,33 +347,13 @@ func (c *campaign) activeCores(shard int) []int {
 // scrubScratch zeroes a core's scratch region — the collision family's
 // between-probe reset (the operator reimages after each detected probe;
 // the attacker still wins the moment one store slips through first).
-func (c *campaign) scrubScratch(shard, core int) error {
-	cr, err := c.nps[shard].Core(core)
+func (c *campaign) scrubScratch(s, core int) error {
+	cr, err := c.nps[s].Core(core)
 	if err != nil {
 		return err
 	}
 	cr.Mem().WriteBytes(uint32(apps.ScratchBase), make([]byte, 2048))
 	return nil
-}
-
-// coreTally is one core's per-tick packet accounting.
-type coreTally struct {
-	packets, alarms, outliers uint64
-}
-
-func (t *coreTally) count(c *campaign, shard int, res npu.Result) {
-	t.packets++
-	c.processed[shard]++
-	if res.Detected {
-		t.alarms++
-		c.alarms[shard]++
-	}
-	if res.Faulted {
-		c.faults[shard]++
-	}
-	if float64(res.Cycles) > 2048 {
-		t.outliers++
-	}
 }
 
 // RunCampaign resolves the config and executes one seeded campaign.
@@ -420,35 +372,15 @@ func RunSpec(spec Spec) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-
-	app, err := apps.ByName("ipv4cm")
+	r, err := newRig(spec.Seed, spec.Compression, spec.Shards, spec.Cores, 256)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := app.Program()
-	if err != nil {
-		return nil, err
-	}
-	param := uint32(spec.Seed)*2654435761 + paramSalt
-	mk, err := hasherMaker(spec.Compression)
-	if err != nil {
-		return nil, err
-	}
-	h := mk(param)
-	g, err := monitor.Extract(prog, h)
-	if err != nil {
-		return nil, err
-	}
-
 	c := &campaign{
-		spec:    spec,
-		gen:     packet.NewGenerator(spec.Seed),
-		rng:     newRNG(spec.Seed, "campaign-"+spec.Family),
-		appName: "ipv4cm", prog: prog,
-		bin: prog.Serialize(), gb: g.Serialize(),
-		param: param, hasher: h,
-		smash:   attack.DefaultSmash(),
-		origAdm: map[int][2]int{}, atkAcc: map[int]float64{},
+		rig: r, spec: spec,
+		gen: packet.NewGenerator(spec.Seed), rng: newRNG(spec.Seed, "campaign-"+spec.Family),
+		smash: attack.DefaultSmash(), atkShard: -1,
+		pending: make([][][]byte, spec.Shards), atkAcc: map[int]float64{},
 	}
 	c.res = Result{Family: spec.Family, Seed: spec.Seed, Spec: spec, PacketsToDetect: -1}
 	for l := range c.res.PacketsToLevel {
@@ -456,47 +388,55 @@ func RunSpec(spec Spec) (*Result, error) {
 	}
 	c.res.PacketsToLevel[threat.None] = 0
 
-	for i := 0; i < spec.Shards; i++ {
-		// No per-core supervisor: the threat engine is the only quarantine
-		// authority, so the trajectory measures its response alone.
-		col := obs.New(256)
-		np, err := npu.New(npu.Config{
-			Cores: spec.Cores, MonitorsEnabled: true, Obs: col, NewHasher: mk,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := np.InstallAll(c.appName, c.bin, c.gb, param); err != nil {
-			return nil, err
-		}
+	// One one-core protection domain per core, and one plane lane per
+	// domain: the batch engine picks among a domain's cores freely, so a
+	// one-core lane is what lets the campaign aim a packet at a core.
+	domains := make([]npu.DomainSpec, spec.Cores)
+	names := make([]string, spec.Cores)
+	for core := range domains {
+		names[core] = fmt.Sprintf("core%d", core)
+		domains[core] = npu.DomainSpec{Name: names[core], Cores: []int{core}}
+	}
+	for _, np := range c.nps {
 		// Stage an upgrade bundle so the zeroize_staged response has
 		// something real to discard.
-		if err := np.StageInstallAll(c.appName, c.bin, c.gb, param); err != nil {
+		if err := np.StageInstallAll("ipv4cm", c.bin, c.gb, c.param); err != nil {
 			return nil, err
 		}
-		c.nps = append(c.nps, np)
-		c.cols = append(c.cols, col)
-		c.alive = append(c.alive, true)
-		c.isolated = append(c.isolated, make([]bool, spec.Cores))
-		c.depth = append(c.depth, 0)
-		c.capac = append(c.capac, queueCap)
-		c.markAt = append(c.markAt, markAt)
+		if err := np.SetDomains(domains); err != nil {
+			return nil, err
+		}
+		views := make([]*npu.Domain, spec.Cores)
+		for core, name := range names {
+			views[core], _ = np.Domain(name) // SetDomains just installed it
+		}
+		c.views = append(c.views, views)
 	}
-	n := spec.Shards
-	c.arrived = make([]uint64, n)
-	c.processed = make([]uint64, n)
-	c.tailDrops = make([]uint64, n)
-	c.marked = make([]uint64, n)
-	c.starved = make([]uint64, n)
-	c.alarms = make([]uint64, n)
-	c.faults = make([]uint64, n)
-
+	c.plane, err = shard.NewPlane(shard.Config{
+		NPs:           c.nps,
+		QueueCapacity: max(1, cardQueue/spec.Cores),
+		MarkThreshold: max(1, cardMark/spec.Cores),
+		// One-packet batches: a Step serves the lanes round-robin.
+		BatchSize: 1,
+		Tenancy:   &shard.TenancyConfig{Tenants: names, Classify: func([]byte) int { return c.core }},
+		Stepped:   true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	responder, err := threat.NewPlaneResponder(c.plane, c.nps)
+	if err != nil {
+		return nil, err
+	}
+	sampler, err := threat.NewSampler(threat.SamplerConfig{Plane: c.plane, NPs: c.nps})
+	if err != nil {
+		return nil, err
+	}
 	if c.drv, err = newDriver(c); err != nil {
 		return nil, err
 	}
-
 	ecfg := threat.CampaignEngineConfig()
-	ecfg.Responder = c
+	ecfg.Responder = responder
 	ecfg.Forensics = c.cols
 	ecfg.StatsFn = c.statsMap
 	if spec.FreezeAt != 0 {
@@ -510,37 +450,39 @@ func RunSpec(spec Spec) (*Result, error) {
 	detectAt := c.drv.detectLevel()
 	for t := 0; t < spec.Ticks; t++ {
 		c.atkTick = 0
-		samples, err := c.tick(t)
+		if err := c.tick(t); err != nil {
+			return nil, err
+		}
+		tr, err := eng.Tick(threat.Tick(t), sampler.Collect())
 		if err != nil {
 			return nil, err
 		}
-		tr, err := eng.Tick(threat.Tick(t), samples)
-		if err != nil {
-			return nil, err
+		// Responses fire inside Tick (rehash, lockdown, tightening); each
+		// must keep the books balanced mid-run, in aggregate and per lane.
+		ps := c.plane.Stats()
+		if !ps.Conserved() {
+			return nil, fmt.Errorf("campaign: %s packet conservation violated at tick %d: %+v", spec.Family, t, ps.Ledger)
 		}
-		// Responses fire inside Tick (rehash sheds, lockdown starvation,
-		// tightening); each must keep the books balanced mid-run.
-		if st := c.totalStats(); !st.Conserved() {
-			return nil, fmt.Errorf("campaign: %s packet conservation violated at tick %d: %+v", spec.Family, t, st)
+		for _, ts := range ps.Tenants {
+			if !ts.Conserved() {
+				return nil, fmt.Errorf("campaign: %s %s conservation violated at tick %d: %+v", spec.Family, ts.Name, t, ts.Ledger)
+			}
 		}
 		if tr != nil && tr.To > tr.From {
 			for l := tr.From + 1; l <= tr.To; l++ {
 				if c.res.PacketsToLevel[l] < 0 {
-					c.res.PacketsToLevel[l] = int64(c.totalArrived())
+					c.res.PacketsToLevel[l] = int64(ps.Arrived)
 				}
 			}
 			if tr.To >= detectAt && c.res.PacketsToDetect < 0 {
-				c.res.PacketsToDetect = int64(c.totalArrived())
+				c.res.PacketsToDetect = int64(ps.Arrived)
 			}
 		}
 		lvl := eng.Level()
-		if lvl > c.res.Peak {
-			c.res.Peak = lvl
-		}
+		c.res.Peak = max(c.res.Peak, lvl)
 		if err := c.drv.afterTick(c, t, lvl); err != nil {
 			return nil, err
 		}
-		c.lastLevel = lvl
 	}
 
 	c.res.Trajectory = eng.Trajectory()
@@ -549,14 +491,7 @@ func RunSpec(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	c.res.Final = eng.Level()
-	c.res.Stats = c.totalStats()
-	for _, np := range c.nps {
-		for core := 0; core < spec.Cores; core++ {
-			if np.HasStaged(core) {
-				c.res.StagedLeft++
-			}
-		}
-	}
+	c.summarize()
 	c.drv.finish(c)
 	// A mutant that never sent a packet was never tried: it is neither a
 	// detection nor an evasion, so it leaves the tally (ramp's duty-1 row
@@ -573,6 +508,36 @@ func RunSpec(spec Spec) (*Result, error) {
 	}
 	c.res.Mutants = sent
 	return &c.res, nil
+}
+
+// summarize reads the response summary back from what the responses left:
+// the actions on the engine's escalations, the quarantined cores and
+// staged bundles on the NPs, and the plane's failovers and ledger.
+func (c *campaign) summarize() {
+	for _, tr := range c.res.Trajectory {
+		for _, a := range tr.Actions {
+			c.res.AdmissionTightened += b2i(a == threat.ActTightenAdmission.String())
+			c.res.StagedZeroized = c.res.StagedZeroized || a == threat.ActZeroizeStaged.String()
+			c.res.LockdownFired = c.res.LockdownFired || a == threat.ActLockdown.String()
+		}
+	}
+	for _, np := range c.nps {
+		for core := 0; core < c.spec.Cores; core++ {
+			h, _ := np.CoreHealth(core)
+			c.res.IsolatedCores += b2i(h == npu.CoreQuarantined)
+			c.res.StagedLeft += b2i(np.HasStaged(core))
+		}
+	}
+	ps := c.plane.Stats()
+	c.res.FailedShards = int(ps.Failovers)
+	c.res.Stats = ps.Ledger
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Check asserts the family's expected outcome — the self-assertions the
@@ -605,193 +570,165 @@ func (r *Result) Check() error {
 	return fmt.Errorf("campaign: unknown family %q", r.Family)
 }
 
-func (c *campaign) totalArrived() uint64 {
-	var v uint64
-	for _, a := range c.arrived {
-		v += a
-	}
-	return v
-}
-
-func (c *campaign) totalStats() Stats {
-	var s Stats
-	for i := range c.arrived {
-		s.Arrived += c.arrived[i]
-		s.Processed += c.processed[i]
-		s.TailDrops += c.tailDrops[i]
-		s.Marked += c.marked[i]
-		s.Starved += c.starved[i]
-		s.Backlog += uint64(c.depth[i])
-		s.Alarms += c.alarms[i]
-		s.Faults += c.faults[i]
-	}
-	return s
-}
-
 // statsMap feeds the engine's incident stats-delta capture.
 func (c *campaign) statsMap() map[string]uint64 {
-	s := c.totalStats()
+	l := c.plane.Stats().Ledger
 	return map[string]uint64{
-		"arrived":    s.Arrived,
-		"processed":  s.Processed,
-		"tail_drops": s.TailDrops,
-		"marked":     s.Marked,
-		"starved":    s.Starved,
-		"alarms":     s.Alarms,
-		"faults":     s.Faults,
+		"arrived": l.Arrived, "forwarded": l.Forwarded, "app_drops": l.AppDrops,
+		"tail_drops": l.TailDrops, "marked": l.Marked, "starved": l.Starved,
 	}
 }
 
-// tick advances the model one virtual time step: arrivals (plus the
-// family's surge), admission, service with crafted attack packets on the
-// attacked cores, and sampling in the live Sampler's canonical order.
-func (c *campaign) tick(t int) ([]threat.Sample, error) {
-	perShard := make([]int, c.spec.Shards)
+// tick drives one virtual time step through the plane. Each live shard
+// gets its share of the clean arrivals, dealt round-robin over its active
+// cores; on the attack shard the attacked cores spend their duty share of
+// those packets on crafted ones, each submitted first and drained by its
+// own one-packet Step. The clean arrivals and the family's surge follow
+// in waves of one packet per core, each wave drained while the card's
+// service budget lasts, so only arrivals beyond the budget queue. Last,
+// every card drains its backlog with what is left of the budget (and a
+// failed card sheds its rings).
+func (c *campaign) tick(t int) error {
 	var live []int
-	for i, a := range c.alive {
-		if a {
-			live = append(live, i)
+	for _, sh := range c.plane.Stats().Shards {
+		if !sh.Failed {
+			live = append(live, sh.Shard)
 		}
 	}
-	if len(live) > 0 {
-		for i := 0; i < c.spec.PacketsPerTick; i++ {
-			perShard[live[i%len(live)]]++
-		}
-	}
-	if ss, extra := c.drv.surge(t); extra > 0 && ss >= 0 && ss < c.spec.Shards && c.alive[ss] {
-		perShard[ss] += extra
-	}
-
-	duty := c.drv.duty(t)
-	atkShard := c.drv.attackShard()
-	attacked := map[int]bool{}
-	for _, core := range c.drv.attackCores() {
-		attacked[core] = true
-	}
-
-	samples := make([]threat.Sample, 0, c.spec.Shards*(c.spec.Cores*2+2))
-	for s := 0; s < c.spec.Shards; s++ {
-		var arrivedNow, pressureNow uint64
-		tokens := drainRate
-		toProcess := 0
-
-		if c.alive[s] {
-			for i := 0; i < perShard[s]; i++ {
-				c.arrived[s]++
-				arrivedNow++
-				// Backpressure measures congestion (marks and tail drops per
-				// arrival), matching the live Sampler. Lockdown starvation is
-				// deliberately NOT pressure: a response must not feed the
-				// detector that fired it, or CRITICAL becomes self-sustaining.
-				if c.lockdown {
-					c.starved[s]++
-					continue
-				}
-				if tokens > 0 {
-					tokens--
-					toProcess++
-					continue
-				}
-				if c.depth[s] >= c.capac[s] {
-					c.tailDrops[s]++
-					pressureNow++
-					continue
-				}
-				if c.depth[s] >= c.markAt[s] {
-					c.marked[s]++
-					pressureNow++
-				}
-				c.depth[s]++
-			}
-			// Leftover service drains backlog from earlier ticks.
-			drain := min(c.depth[s], tokens)
-			c.depth[s] -= drain
-			toProcess += drain
-		}
-
-		// Round-robin this tick's packets over the active cores; attacked
-		// cores spend their duty share on crafted attack packets.
-		faultsBefore := c.faults[s]
+	surgeAt, extra := c.drv.surge(t)
+	tokens := make([]int, c.spec.Shards)
+	for i, s := range live {
+		tokens[s] = serviceBudget
 		active := c.activeCores(s)
-		tallies := make([]coreTally, c.spec.Cores)
-		if len(active) > 0 && toProcess > 0 {
-			quota := make([]int, len(active))
-			for i := 0; i < toProcess; i++ {
-				quota[i%len(active)]++
+		if len(active) == 0 {
+			// Every core is isolated: the lanes fail over as they drain.
+			for core := 0; core < c.spec.Cores; core++ {
+				active = append(active, core)
 			}
-			for ai, core := range active {
-				q := quota[ai]
-				if q == 0 {
-					continue
+		}
+		clean := c.clean(s, c.spec.PacketsPerTick/len(live)+b2i(i < c.spec.PacketsPerTick%len(live)))
+		cores := make([]int, len(clean))
+		quota := map[int]int{}
+		for k := range clean {
+			cores[k] = active[k%len(active)]
+			quota[cores[k]]++
+		}
+		if s == c.atkShard && !c.plane.LockedDown() {
+			for _, core := range c.drv.attackCores() {
+				sent, err := c.attack(t, s, core, quota[core], &tokens[s])
+				if err != nil {
+					return err
 				}
-				nAtk := 0
-				if s == atkShard && attacked[core] && duty > 0 {
-					key := s*c.spec.Cores + core
-					c.atkAcc[key] += duty * float64(q)
-					nAtk = int(c.atkAcc[key])
-					c.atkAcc[key] -= float64(nAtk)
-					nAtk = min(nAtk, q)
-				}
-				tally := &tallies[core]
-				sent := 0
-				for sent < nAtk {
-					mi, pkt, ok, err := c.drv.craft(c, t, s, core)
-					if err != nil {
-						return nil, err
+				// The crafted packets took the core's first clean slots.
+				for k := 0; sent > 0 && k < len(clean); k++ {
+					if cores[k] == core {
+						clean[k], sent = nil, sent-1
 					}
-					if !ok {
-						break
-					}
-					res, err := c.nps[s].ProcessOn(core, pkt, c.depth[s])
-					if err != nil {
-						return nil, err
-					}
-					sent++
-					c.atkTick++
-					tally.count(c, s, res)
-					if err := c.drv.observe(c, t, s, core, mi, res); err != nil {
-						return nil, err
-					}
-				}
-				for i := sent; i < q; i++ {
-					res, err := c.nps[s].ProcessOn(core, c.gen.Next(), c.depth[s])
-					if err != nil {
-						return nil, err
-					}
-					tally.count(c, s, res)
 				}
 			}
 		}
-
-		// Emit this shard's samples in the sampler's canonical order.
-		for core := 0; core < c.spec.Cores; core++ {
-			tl := tallies[core]
-			samples = append(samples,
-				threat.Sample{Shard: s, Core: core, Signal: threat.SigAlarmRate,
-					Value: rate(tl.alarms, tl.packets)},
-				threat.Sample{Shard: s, Core: core, Signal: threat.SigCycleOutlier,
-					Value: rate(tl.outliers, tl.packets)},
-			)
+		if s == surgeAt {
+			for _, pkt := range c.clean(s, extra) {
+				clean, cores = append(clean, ect0(pkt)), append(cores, active[len(cores)%len(active)])
+			}
 		}
-		var procNow uint64
-		for core := range tallies {
-			procNow += tallies[core].packets
+		wave := 0
+		for k, pkt := range clean {
+			if pkt != nil {
+				c.core = cores[k]
+				c.plane.Submit(pkt)
+				wave++
+			}
+			if wave == len(active) || k == len(clean)-1 {
+				if err := c.step(s, min(tokens[s], wave), &tokens[s]); err != nil {
+					return err
+				}
+				wave = 0
+			}
 		}
-		samples = append(samples,
-			threat.Sample{Shard: s, Core: -1, Signal: threat.SigFaultRate,
-				Value: rate(c.faults[s]-faultsBefore, procNow)},
-			threat.Sample{Shard: s, Core: -1, Signal: threat.SigBackpressure,
-				Value: rate(pressureNow, arrivedNow)},
-		)
 	}
-	return samples, nil
+	for s := range tokens {
+		if err := c.step(s, tokens[s], &tokens[s]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func rate(num, den uint64) float64 {
-	if den == 0 {
-		return 0
+// step drains up to budget packets from a card, charging them to its
+// service tokens (the plane's batches are one packet each).
+func (c *campaign) step(s, budget int, tokens *int) error {
+	batches, err := c.plane.Step(s, budget)
+	*tokens -= len(batches)
+	return err
+}
+
+// attack submits a core's duty share of its quota as crafted packets, each
+// drained by a one-packet Step and observed through the core's domain
+// stats, and returns how many it sent.
+func (c *campaign) attack(t, s, core, quota int, tokens *int) (int, error) {
+	if h, err := c.nps[s].CoreHealth(core); err != nil || h == npu.CoreQuarantined {
+		return 0, err
 	}
-	return float64(num) / float64(den)
+	c.atkAcc[core] += c.drv.duty(t) * float64(quota)
+	n := min(int(c.atkAcc[core]), quota)
+	c.atkAcc[core] -= float64(int(c.atkAcc[core]))
+	for sent := 0; sent < n; sent++ {
+		mi, pkt, ok, err := c.drv.craft(c, t, core)
+		if err != nil || !ok {
+			return sent, err
+		}
+		before := c.views[s][core].Stats()
+		c.core = core
+		c.plane.Submit(pkt)
+		if err := c.step(s, 1, tokens); err != nil {
+			return sent, err
+		}
+		after := c.views[s][core].Stats()
+		c.atkTick++
+		d := npu.Stats{
+			Alarms: after.Alarms - before.Alarms,
+			Faults: after.Faults - before.Faults,
+			Cycles: after.Cycles - before.Cycles,
+		}
+		if mi >= 0 && mi < len(c.res.Mutants) {
+			o := &c.res.Mutants[mi]
+			if o.Tick < 0 {
+				o.Tick = t
+			}
+			o.Packets++
+			o.Detected = o.Detected || d.Alarms > 0
+		}
+		if err := c.drv.observe(c, core, d); err != nil {
+			return sent + 1, err
+		}
+	}
+	return n, nil
+}
+
+// clean returns the next n clean packets whose flows dispatch to shard s.
+// The generator's stream is dealt to per-shard queues by flow, so every
+// live shard gets exactly its share of a tick's arrivals.
+func (c *campaign) clean(s, n int) [][]byte {
+	for draws := 0; len(c.pending[s]) < n && draws < 1024; draws++ {
+		pkt := c.gen.Next()
+		if to := c.plane.ShardFor(shard.FlowKeyOf(pkt)); to >= 0 {
+			c.pending[to] = append(c.pending[to], pkt)
+		}
+	}
+	n = min(n, len(c.pending[s]))
+	out := c.pending[s][:n:n]
+	c.pending[s] = c.pending[s][n:]
+	return out
+}
+
+// ect0 marks a clean packet ECN-capable (ECT(0)) and refreshes its header
+// checksum: surges are ECN floods, which the plane CE-marks past the
+// threshold rather than dropping.
+func ect0(pkt []byte) []byte {
+	pkt[1] = pkt[1]&^0x3 | 0x2
+	binary.BigEndian.PutUint16(pkt[10:], packet.Checksum(pkt[:int(pkt[0]&0xF)*4]))
+	return pkt
 }
 
 func hasherMaker(compression string) (func(uint32) mhash.Hasher, error) {

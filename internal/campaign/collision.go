@@ -20,9 +20,9 @@ import (
 // per-device parameter (and PR 7's rotation) is meant to contain.
 
 type collisionDriver struct {
-	variants []isa.Word
-	pkts     [][]byte
-	budget   attack.SearchBudget
+	quiet
+	pkts   [][]byte // one probe per persist variant, shuffled by the seed
+	budget attack.SearchBudget
 
 	cur        int // next variant index
 	core       int // core currently probed
@@ -31,32 +31,31 @@ type collisionDriver struct {
 	exhausted  bool
 	found      bool
 	foundProbe int
-	// pending is the variant index probed last, checked for persistence in
-	// observe.
-	done bool
+	done       bool
 }
 
 func newCollisionDriver(c *campaign) (driver, error) {
 	vars := c.smash.PersistVariants()
 	c.rng.shuffleWords(vars)
 	d := &collisionDriver{
-		variants:   vars,
 		budget:     attack.SearchBudget{MaxProbes: c.spec.ProbeBudget, MaxCycles: c.spec.CycleBudget},
 		core:       1,
 		foundProbe: -1,
 	}
+	// Variants whose probes dispatch off the attack shard are dropped.
 	for _, v := range vars {
 		pkt, err := c.smash.CraftPacket([]isa.Word{v})
 		if err != nil {
 			return nil, err
 		}
-		d.pkts = append(d.pkts, pkt)
+		if c.aim(pkt) {
+			d.pkts = append(d.pkts, pkt)
+		}
 	}
 	return d, nil
 }
 
 func (d *collisionDriver) detectLevel() threat.Level { return threat.High }
-func (d *collisionDriver) attackShard() int          { return 0 }
 
 func (d *collisionDriver) attackCores() []int {
 	if d.done {
@@ -72,10 +71,8 @@ func (d *collisionDriver) duty(t int) float64 {
 	return 0.5
 }
 
-func (d *collisionDriver) surge(t int) (int, int) { return -1, 0 }
-
-func (d *collisionDriver) craft(c *campaign, t, shard, core int) (int, []byte, bool, error) {
-	if d.done || d.cur >= len(d.variants) {
+func (d *collisionDriver) craft(c *campaign, t, core int) (int, []byte, bool, error) {
+	if d.done || d.cur >= len(d.pkts) {
 		return 0, nil, false, nil
 	}
 	// attack.SearchBudget semantics, enforced inline: refuse the probe that
@@ -93,13 +90,13 @@ func (d *collisionDriver) craft(c *campaign, t, shard, core int) (int, []byte, b
 	return mi, d.pkts[mi], true, nil
 }
 
-func (d *collisionDriver) observe(c *campaign, t, shard, core, mi int, res npu.Result) error {
+func (d *collisionDriver) observe(c *campaign, core int, st npu.Stats) error {
 	d.attempts++
-	d.cycles += res.Cycles
+	d.cycles += st.Cycles
 	// The persistence check runs after EVERY probe, alarmed or not: the
 	// engineered store corrupts scratch before the monitor alarms on the
 	// following word, so a detected probe can still have landed.
-	hit, err := attack.PersistSucceeded(c.nps[shard], core)
+	hit, err := attack.PersistSucceeded(c.nps[c.atkShard], core)
 	if err != nil {
 		return err
 	}
@@ -110,7 +107,7 @@ func (d *collisionDriver) observe(c *campaign, t, shard, core, mi int, res npu.R
 	}
 	// Miss: the operator reimages (scratch scrub) and the attacker moves to
 	// the next variant.
-	return c.scrubScratch(shard, core)
+	return c.scrubScratch(c.atkShard, core)
 }
 
 func (d *collisionDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
@@ -119,8 +116,8 @@ func (d *collisionDriver) afterTick(c *campaign, t int, lvl threat.Level) error 
 	}
 	// The classifier isolates the probed core at HIGH; rotate the search to
 	// the next active core, or stop when the shard has none left.
-	if c.isolated[0][d.core] {
-		active := c.activeCores(0)
+	if h, err := c.nps[c.atkShard].CoreHealth(d.core); err == nil && h == npu.CoreQuarantined {
+		active := c.activeCores(c.atkShard)
 		if len(active) == 0 {
 			d.done = true
 			return nil

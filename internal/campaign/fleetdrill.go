@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -57,12 +58,8 @@ type FleetDrillResult struct {
 
 // CollisionFleetDrill runs the pre/post-rotation evasion drill.
 func CollisionFleetDrill(cfg FleetDrillConfig) (*FleetDrillResult, error) {
-	if cfg.Routers == 0 {
-		cfg.Routers = 24
-	}
-	if cfg.ProbeBudget == 0 {
-		cfg.ProbeBudget = 256
-	}
+	cfg.Routers = cmp.Or(cfg.Routers, 24)
+	cfg.ProbeBudget = cmp.Or(cfg.ProbeBudget, 256)
 	res := &FleetDrillResult{Routers: cfg.Routers, Seed: cfg.Seed, ProbeBudget: cfg.ProbeBudget,
 		SearchP50: -1, SearchP99: -1}
 

@@ -5,7 +5,6 @@ import (
 
 	"sdmmon/internal/attack"
 	"sdmmon/internal/isa"
-	"sdmmon/internal/npu"
 	"sdmmon/internal/threat"
 )
 
@@ -26,9 +25,9 @@ const gadgetPhaseTicks = 6
 var gadgetDuties = []float64{1.0 / 8, 1.0 / 4, 1.0 / 2, 1}
 
 type gadgetDriver struct {
-	pkts     [][]byte
-	outcomes []MutantOutcome
-	next     int // round-robin cursor over the mutant pool
+	quiet
+	pkts [][]byte
+	next int // round-robin cursor over the mutant pool
 }
 
 func newGadgetDriver(c *campaign) (driver, error) {
@@ -60,8 +59,9 @@ func newGadgetDriver(c *campaign) (driver, error) {
 	}
 	brk := hijack[0]
 
+	// Chains whose packets dispatch off the attack shard are redrawn.
 	d := &gadgetDriver{}
-	for i := 0; i < c.spec.Mutants; i++ {
+	for len(d.pkts) < c.spec.Mutants {
 		n := c.rng.between(2, 6)
 		start := c.rng.intn(len(cws) - n)
 		words := make([]isa.Word, 0, n+1)
@@ -80,19 +80,21 @@ func newGadgetDriver(c *campaign) (driver, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.pkts = append(d.pkts, pkt)
-		d.outcomes = append(d.outcomes, MutantOutcome{
-			Index: i,
+		if !c.aim(pkt) {
+			continue
+		}
+		c.res.Mutants = append(c.res.Mutants, MutantOutcome{
+			Index: len(d.pkts),
 			Kind:  fmt.Sprintf("chain@%#x+%d", cws[start].Addr, n),
 			Tick:  -1,
 			Depth: depth,
 		})
+		d.pkts = append(d.pkts, pkt)
 	}
 	return d, nil
 }
 
 func (d *gadgetDriver) detectLevel() threat.Level { return threat.High }
-func (d *gadgetDriver) attackShard() int          { return 0 }
 func (d *gadgetDriver) attackCores() []int        { return []int{1} }
 
 func (d *gadgetDriver) duty(t int) float64 {
@@ -106,34 +108,17 @@ func (d *gadgetDriver) duty(t int) float64 {
 	return gadgetDuties[step]
 }
 
-func (d *gadgetDriver) surge(t int) (int, int) { return -1, 0 }
-
-func (d *gadgetDriver) craft(c *campaign, t, shard, core int) (int, []byte, bool, error) {
+func (d *gadgetDriver) craft(c *campaign, t, core int) (int, []byte, bool, error) {
 	mi := d.next % len(d.pkts)
 	d.next++
 	return mi, d.pkts[mi], true, nil
 }
 
-func (d *gadgetDriver) observe(c *campaign, t, shard, core, mi int, res npu.Result) error {
-	o := &d.outcomes[mi]
-	if o.Tick < 0 {
-		o.Tick = t
-	}
-	o.Packets++
-	if res.Detected {
-		o.Detected = true
-	}
-	return nil
-}
-
-func (d *gadgetDriver) afterTick(c *campaign, t int, lvl threat.Level) error { return nil }
-
 func (d *gadgetDriver) finish(c *campaign) {
-	c.res.Mutants = d.outcomes
 	// Aggregate evasion depth: mean matched-prefix length over the mutants
 	// that ran and were never alarmed on (deep chains that also collided).
 	var sum, n float64
-	for _, o := range d.outcomes {
+	for _, o := range c.res.Mutants {
 		if o.Packets > 0 && !o.Detected {
 			sum += float64(o.Depth)
 			n++

@@ -1,24 +1,23 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
-	"sdmmon/internal/apps"
 	"sdmmon/internal/attack"
-	"sdmmon/internal/monitor"
 	"sdmmon/internal/npu"
-	"sdmmon/internal/obs"
 	"sdmmon/internal/packet"
 	"sdmmon/internal/shard"
 	"sdmmon/internal/threat"
 )
 
-// RunLive fires a campaign's attack corpus at the *real* concurrent
-// traffic plane: shard.Plane workers race submitter goroutines while the
-// live Sampler → Engine → PlaneResponder loop classifies and responds.
-// The concurrent plane cannot promise byte-identity (and does not try —
-// that is the model chassis's job); what it must promise, and what this
+// RunLive fires a campaign's attack corpus at the concurrent traffic
+// plane: shard.Plane workers race submitter goroutines while the same
+// Sampler → Engine → PlaneResponder loop the family campaigns run
+// classifies and responds. The concurrent plane cannot promise
+// byte-identity (and does not try — that is the stepped plane the family
+// campaigns drive); what it must promise, and what this
 // drill checks at every tick, is packet conservation and a sane graded
 // response while attack packets, clean traffic, and responses interleave.
 // Run it under -race.
@@ -47,51 +46,16 @@ type LiveResult struct {
 // RunLive executes the drill. Every mid-run conservation violation is an
 // error, not a statistic.
 func RunLive(cfg LiveConfig) (*LiveResult, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 3
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 2
-	}
-	if cfg.Ticks == 0 {
-		cfg.Ticks = 24
-	}
-	if cfg.AttackPerTick == 0 {
-		cfg.AttackPerTick = 8
-	}
+	cfg.Shards = cmp.Or(cfg.Shards, 3)
+	cfg.Cores = cmp.Or(cfg.Cores, 2)
+	cfg.Ticks = cmp.Or(cfg.Ticks, 24)
+	cfg.AttackPerTick = cmp.Or(cfg.AttackPerTick, 8)
 
-	app, err := apps.ByName("ipv4cm")
+	r, err := newRig(cfg.Seed, "sbox", cfg.Shards, cfg.Cores, 64)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := app.Program()
-	if err != nil {
-		return nil, err
-	}
-	mk, err := hasherMaker("sbox")
-	if err != nil {
-		return nil, err
-	}
-	param := uint32(cfg.Seed)*2654435761 + paramSalt
-	g, err := monitor.Extract(prog, mk(param))
-	if err != nil {
-		return nil, err
-	}
-	bin, gb := prog.Serialize(), g.Serialize()
-
-	cols := make([]*obs.Collector, cfg.Shards)
-	nps := make([]*npu.NP, cfg.Shards)
-	for i := range nps {
-		cols[i] = obs.New(64)
-		np, err := npu.New(npu.Config{Cores: cfg.Cores, MonitorsEnabled: true, Obs: cols[i], NewHasher: mk})
-		if err != nil {
-			return nil, err
-		}
-		if err := np.InstallAll(app.Name, bin, gb, param); err != nil {
-			return nil, err
-		}
-		nps[i] = np
-	}
+	nps := r.nps
 	plane, err := shard.NewPlane(shard.Config{
 		NPs:           nps,
 		QueueCapacity: 32,
@@ -112,21 +76,20 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}
 	ecfg := threat.CampaignEngineConfig()
 	ecfg.Responder = responder
-	ecfg.Forensics = cols
+	ecfg.Forensics = r.cols
 	eng, err := threat.NewEngine(ecfg)
 	if err != nil {
 		return nil, err
 	}
 
 	// Attack corpus: seeded gadget-chain packets through the stack-smash
-	// overflow, identical to the model campaign's mutants.
+	// overflow, drawn as the gadget family draws them.
 	c := &campaign{
-		spec:   Spec{Family: FamilyGadget, Seed: cfg.Seed, Mutants: 8, Shards: cfg.Shards, Cores: cfg.Cores},
-		rng:    newRNG(cfg.Seed, "campaign-live"),
-		prog:   prog,
-		hasher: mk(param),
+		rig:   r,
+		spec:  Spec{Family: FamilyGadget, Seed: cfg.Seed, Mutants: 8, Shards: cfg.Shards, Cores: cfg.Cores},
+		rng:   newRNG(cfg.Seed, "campaign-live"),
+		smash: attack.DefaultSmash(),
 	}
-	c.smash = attack.DefaultSmash()
 	gd, err := newGadgetDriver(c)
 	if err != nil {
 		return nil, err

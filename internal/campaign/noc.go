@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 
-	"sdmmon/internal/npu"
 	"sdmmon/internal/threat"
 )
 
@@ -28,9 +27,10 @@ type nocBurst struct {
 }
 
 const (
-	// Evade bursts: 30 base + at most 17 extra arrivals against a drain of
-	// 40 queues at most 7 per tick for at most 4 ticks — depth stays below
-	// the mark point (32), and the 4-tick gap drains the backlog.
+	// Evade bursts: 30 base + at most 17 extra arrivals against a service
+	// budget of 40 queue at most 7 per tick (2 per lane) for at most 4
+	// ticks — depth stays below the mark point (32 per card, 8 per lane),
+	// and the 4-tick gap drains the backlog.
 	nocEvadeSlot = 8
 	// Detect bursts: 50..90 extra arrivals overrun service within two
 	// ticks; the 10-tick gap lets MEDIUM decay and admission restore.
@@ -39,8 +39,8 @@ const (
 )
 
 type nocDriver struct {
-	bursts   []nocBurst
-	outcomes []MutantOutcome
+	quiet
+	bursts []nocBurst
 }
 
 func newNoCDriver(c *campaign) (driver, error) {
@@ -66,7 +66,7 @@ func newNoCDriver(c *campaign) (driver, error) {
 		if b.evade {
 			kind = "evade-burst"
 		}
-		d.outcomes = append(d.outcomes, MutantOutcome{
+		c.res.Mutants = append(c.res.Mutants, MutantOutcome{
 			Index: i,
 			Kind:  fmt.Sprintf("%s@shard%d:i%d×%d", kind, b.shard, b.intensity, b.length),
 			Tick:  b.start,
@@ -76,9 +76,6 @@ func newNoCDriver(c *campaign) (driver, error) {
 }
 
 func (d *nocDriver) detectLevel() threat.Level { return threat.Medium }
-func (d *nocDriver) attackShard() int          { return -1 }
-func (d *nocDriver) attackCores() []int        { return nil }
-func (d *nocDriver) duty(t int) float64        { return 0 }
 
 func (d *nocDriver) surge(t int) (int, int) {
 	for _, b := range d.bursts {
@@ -89,34 +86,25 @@ func (d *nocDriver) surge(t int) (int, int) {
 	return -1, 0
 }
 
-func (d *nocDriver) craft(c *campaign, t, shard, core int) (int, []byte, bool, error) {
-	return 0, nil, false, nil
-}
-
-func (d *nocDriver) observe(c *campaign, t, shard, core, mi int, res npu.Result) error {
-	return nil
-}
-
 func (d *nocDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
 	for i, b := range d.bursts {
 		if t >= b.start && t < b.start+b.length {
-			d.outcomes[i].Packets += b.intensity
+			c.res.Mutants[i].Packets += b.intensity
 		}
 		// Attribution window: a burst owns escalations up to two ticks past
 		// its end (queue pressure outlives the last arrival).
 		if lvl >= threat.Medium && t >= b.start && t <= b.start+b.length+2 {
-			d.outcomes[i].Detected = true
+			c.res.Mutants[i].Detected = true
 		}
 	}
 	return nil
 }
 
 func (d *nocDriver) finish(c *campaign) {
-	c.res.Mutants = d.outcomes
 	// Evasion depth: packets the undetected bursts pushed through without
 	// tripping the backpressure classifier.
 	var sum, n float64
-	for _, o := range d.outcomes {
+	for _, o := range c.res.Mutants {
 		if !o.Detected {
 			sum += float64(o.Packets)
 			n++

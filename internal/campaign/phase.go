@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 
-	"sdmmon/internal/npu"
 	"sdmmon/internal/threat"
 )
 
@@ -73,15 +72,15 @@ var rampSchedule = []phase{
 }
 
 type phaseDriver struct {
+	quiet
 	phases []phase
-	shard  int
+	shard  int // the attack shard, where the hijack packet dispatches
 	cores  []int
 	detect threat.Level
 
 	pkt []byte
 	// slot maps a schedule row to its mutant index; -1 for quiet rows.
-	slot     []int
-	outcomes []MutantOutcome
+	slot []int
 }
 
 func newPhaseDriver(c *campaign) (driver, error) {
@@ -93,27 +92,28 @@ func newPhaseDriver(c *campaign) (driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &phaseDriver{pkt: pkt}
+	c.aim(pkt)
+	d := &phaseDriver{pkt: pkt, shard: c.atkShard}
 	switch c.spec.Family {
 	case FamilyBurst:
-		d.phases, d.shard, d.detect = burstSchedule, 1%c.spec.Shards, threat.Critical
+		d.phases, d.detect = burstSchedule, threat.Critical
 		for core := 0; core < c.spec.Cores; core++ {
 			d.cores = append(d.cores, core)
 		}
 	case FamilyRamp:
-		d.phases, d.shard, d.cores, d.detect = rampSchedule, 0, []int{1}, threat.High
+		d.phases, d.cores, d.detect = rampSchedule, []int{1}, threat.High
 	default:
 		// Poison attacks the last core: with the default 30-packet/4-core
 		// shard its quota is 7, so the 3/7 strike realizes a constant
 		// per-tick rate.
-		d.phases, d.shard, d.cores, d.detect = poisonSchedule, 0, []int{c.spec.Cores - 1}, threat.Medium
+		d.phases, d.cores, d.detect = poisonSchedule, []int{c.spec.Cores - 1}, threat.Medium
 	}
 	start := 0
 	for _, ph := range d.phases {
 		mi := -1
 		if ph.duty > 0 {
-			mi = len(d.outcomes)
-			d.outcomes = append(d.outcomes, MutantOutcome{Index: mi, Kind: ph.kind, Tick: start})
+			mi = len(c.res.Mutants)
+			c.res.Mutants = append(c.res.Mutants, MutantOutcome{Index: mi, Kind: ph.kind, Tick: start})
 		}
 		d.slot = append(d.slot, mi)
 		start = ph.until
@@ -132,7 +132,6 @@ func (d *phaseDriver) at(t int) (int, phase) {
 }
 
 func (d *phaseDriver) detectLevel() threat.Level { return d.detect }
-func (d *phaseDriver) attackShard() int          { return d.shard }
 func (d *phaseDriver) attackCores() []int        { return d.cores }
 
 func (d *phaseDriver) duty(t int) float64 {
@@ -145,24 +144,12 @@ func (d *phaseDriver) surge(t int) (int, int) {
 	return d.shard, ph.surge
 }
 
-func (d *phaseDriver) craft(c *campaign, t, shard, core int) (int, []byte, bool, error) {
+func (d *phaseDriver) craft(c *campaign, t, core int) (int, []byte, bool, error) {
 	mi, ph := d.at(t)
 	if ph.duty == 0 {
 		return 0, nil, false, nil
 	}
 	return mi, d.pkt, true, nil
-}
-
-func (d *phaseDriver) observe(c *campaign, t, shard, core, mi int, res npu.Result) error {
-	if mi < 0 || mi >= len(d.outcomes) {
-		return fmt.Errorf("campaign: %s phase index %d out of range", c.spec.Family, mi)
-	}
-	o := &d.outcomes[mi]
-	o.Packets++
-	if res.Detected {
-		o.Detected = true
-	}
-	return nil
 }
 
 func (d *phaseDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
@@ -175,19 +162,18 @@ func (d *phaseDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
 		return nil
 	}
 	if lvl >= d.detect {
-		d.outcomes[mi].Detected = true
+		c.res.Mutants[mi].Detected = true
 	} else if lvl <= threat.Low {
-		d.outcomes[mi].Depth += c.atkTick
+		c.res.Mutants[mi].Depth += c.atkTick
 	}
 	return nil
 }
 
 func (d *phaseDriver) finish(c *campaign) {
-	c.res.Mutants = d.outcomes
 	// Evasion depth: attack packets absorbed while the classifier sat at
 	// or below LOW — the whole poison ramp in the unfrozen configuration.
 	var slipped float64
-	for _, o := range d.outcomes {
+	for _, o := range c.res.Mutants {
 		slipped += float64(o.Depth)
 	}
 	c.res.EvasionDepth = slipped

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 
-	"sdmmon/internal/npu"
 	"sdmmon/internal/threat"
 )
 
@@ -36,7 +35,8 @@ const slowDripStart = 1.0 / 64
 const slowDripGrowth = 1.35
 
 type slowDripDriver struct {
-	pkt   []byte
+	pkt []byte
+	quiet
 	fixed float64 // > 0 pins the duty (regression mode); 0 = adaptive
 
 	cur       float64
@@ -45,7 +45,6 @@ type slowDripDriver struct {
 	epoch     int
 	epochMax  threat.Level
 	slipped   int64
-	outcomes  []MutantOutcome
 }
 
 func newSlowDripDriver(c *campaign) (driver, error) {
@@ -57,6 +56,7 @@ func newSlowDripDriver(c *campaign) (driver, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.aim(pkt)
 	return &slowDripDriver{
 		pkt:   pkt,
 		fixed: float64(c.spec.DutyMilli) / 1000,
@@ -65,7 +65,6 @@ func newSlowDripDriver(c *campaign) (driver, error) {
 }
 
 func (d *slowDripDriver) detectLevel() threat.Level { return threat.Medium }
-func (d *slowDripDriver) attackShard() int          { return 0 }
 func (d *slowDripDriver) attackCores() []int        { return []int{1} }
 
 func (d *slowDripDriver) duty(t int) float64 {
@@ -78,26 +77,16 @@ func (d *slowDripDriver) duty(t int) float64 {
 	return d.cur
 }
 
-func (d *slowDripDriver) surge(t int) (int, int) { return -1, 0 }
-
-func (d *slowDripDriver) craft(c *campaign, t, shard, core int) (int, []byte, bool, error) {
-	return d.epoch, d.pkt, true, nil
-}
-
-func (d *slowDripDriver) observe(c *campaign, t, shard, core, mi int, res npu.Result) error {
-	for len(d.outcomes) <= mi {
-		d.outcomes = append(d.outcomes, MutantOutcome{
-			Index: len(d.outcomes),
+// craft opens one mutant row per titration epoch, on its first packet.
+func (d *slowDripDriver) craft(c *campaign, t, core int) (int, []byte, bool, error) {
+	for len(c.res.Mutants) <= d.epoch {
+		c.res.Mutants = append(c.res.Mutants, MutantOutcome{
+			Index: len(c.res.Mutants),
 			Kind:  fmt.Sprintf("duty=%.4f", d.duty(t)),
 			Tick:  t,
 		})
 	}
-	o := &d.outcomes[mi]
-	o.Packets++
-	if res.Detected {
-		o.Detected = true
-	}
-	return nil
+	return d.epoch, d.pkt, true, nil
 }
 
 func (d *slowDripDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
@@ -111,8 +100,8 @@ func (d *slowDripDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
 		// Slip accounting: packets that went through while the classifier
 		// stayed at or below LOW.
 		d.slipped += int64(c.atkTick)
-		if len(d.outcomes) > 0 {
-			d.outcomes[len(d.outcomes)-1].Depth += c.atkTick
+		if n := len(c.res.Mutants); n > 0 {
+			c.res.Mutants[n-1].Depth += c.atkTick
 		}
 	}
 	if d.fixed > 0 || d.retreated {
@@ -141,7 +130,6 @@ func (d *slowDripDriver) afterTick(c *campaign, t int, lvl threat.Level) error {
 }
 
 func (d *slowDripDriver) finish(c *campaign) {
-	c.res.Mutants = d.outcomes
 	frontier := d.frontier
 	if d.fixed > 0 {
 		// Regression mode: the frontier is the pinned duty if it never

@@ -6,8 +6,9 @@ package campaign
 // domain statistics, installed software, telemetry bytes — required to be
 // byte-identical to a control run in which the attack never happened.
 //
-// Unlike the family campaigns above, which drive a virtual traffic model,
-// this drill runs the real multi-tenant stack end to end: a tenant.Manager
+// Unlike the family campaigns, which drive a stepped plane one virtual
+// tick at a time, this drill runs the concurrent multi-tenant stack end to
+// end: a tenant.Manager
 // partitions two real NPs into protection domains, the shard plane
 // dispatches by flow class onto per-tenant lanes, and the attacks arrive
 // as crafted packets through the front door:
@@ -102,16 +103,7 @@ func tdCleanPkt(tenantIdx int, flow uint16) ([]byte, error) {
 func tdRetag(pkt []byte, tenantIdx int) []byte {
 	out := append([]byte(nil), pkt...)
 	out[13] = byte(tenantIdx)
-	out[10], out[11] = 0, 0
-	ihl := int(out[0]&0x0F) * 4
-	var sum uint32
-	for i := 0; i+1 < ihl; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(out[i:]))
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
-	binary.BigEndian.PutUint16(out[10:], ^uint16(sum))
+	binary.BigEndian.PutUint16(out[10:], packet.Checksum(out[:int(out[0]&0x0F)*4]))
 	return out
 }
 

@@ -1,20 +1,19 @@
 package campaign
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 
+	"sdmmon/internal/envelope"
 	"sdmmon/internal/threat"
 )
 
 // The canonical campaign wire format ("CAMP"), following the repo's
-// serialization idiom: 4-byte ASCII magic, FNV-1a checksum over the
-// payload, big-endian fixed-width integers, length-prefixed strings, and a
+// serialization idiom: the magic-and-checksum internal/envelope around
+// big-endian fixed-width integers, length-prefixed strings, and a
 // strict decoder that rejects truncation, unknown enums, and trailing
 // bytes. A Spec is the *resolved* configuration — every default already
 // applied — so Encode∘Decode is a fixed point and a decoded Spec replays
@@ -71,58 +70,31 @@ func ResolveSpec(cfg Config) (Spec, error) {
 		DutyMilli:   int(cfg.Duty*1000 + 0.5),
 		FreezeAt:    cfg.FreezeAt,
 	}
-	if s.Shards == 0 {
-		s.Shards = 3
-	}
-	if s.Cores == 0 {
-		s.Cores = 4
-	}
-	if s.PacketsPerTick == 0 {
-		s.PacketsPerTick = 30 * s.Shards
-	}
-	if s.Compression == "" {
-		s.Compression = "sbox"
-	}
+	s.Shards = cmp.Or(s.Shards, 3)
+	s.Cores = cmp.Or(s.Cores, 4)
+	s.PacketsPerTick = cmp.Or(s.PacketsPerTick, 30*s.Shards)
+	s.Compression = cmp.Or(s.Compression, "sbox")
 	switch s.Family {
 	case FamilyGadget:
-		if s.Mutants == 0 {
-			s.Mutants = 24
-		}
-		if s.Ticks == 0 {
-			s.Ticks = 48
-		}
+		s.Mutants = cmp.Or(s.Mutants, 24)
+		s.Ticks = cmp.Or(s.Ticks, 48)
 	case FamilyCollision:
 		if s.ProbeBudget == 0 && s.CycleBudget == 0 {
 			s.ProbeBudget = 192
 		}
-		if s.Ticks == 0 {
-			s.Ticks = 96
-		}
+		s.Ticks = cmp.Or(s.Ticks, 96)
 	case FamilySlowDrip:
-		if s.Ticks == 0 {
-			s.Ticks = 80
-		}
+		s.Ticks = cmp.Or(s.Ticks, 80)
 	case FamilyNoC:
-		if s.Mutants == 0 {
-			s.Mutants = 8
-		}
-		if s.Ticks == 0 {
-			e := (s.Mutants + 1) / 2
-			d := s.Mutants / 2
-			s.Ticks = Warmup + 8*e + 14*d + 14
-		}
+		s.Mutants = cmp.Or(s.Mutants, 8)
+		e, d := (s.Mutants+1)/2, s.Mutants/2
+		s.Ticks = cmp.Or(s.Ticks, Warmup+8*e+14*d+14)
 	case FamilyPoison:
-		if s.Ticks == 0 {
-			s.Ticks = 64
-		}
+		s.Ticks = cmp.Or(s.Ticks, 64)
 	case FamilyBurst:
-		if s.Ticks == 0 {
-			s.Ticks = 36
-		}
+		s.Ticks = cmp.Or(s.Ticks, 36)
 	case FamilyRamp:
-		if s.Ticks == 0 {
-			s.Ticks = 48
-		}
+		s.Ticks = cmp.Or(s.Ticks, 48)
 	default:
 		return Spec{}, fmt.Errorf("campaign: unknown family %q (want one of %v)", s.Family, Families())
 	}
@@ -163,130 +135,67 @@ func (s Spec) validate() error {
 	return nil
 }
 
-func checksum(b []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum32()
-}
+// checksum is the CAMP envelope's payload checksum.
+var checksum = envelope.Sum
 
 // Encode serializes the spec under the CAMP envelope.
 func (s Spec) Encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(specVersion)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s.Family)))
-	buf.Write(n[:])
-	buf.WriteString(s.Family)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(s.Seed))
-	buf.Write(u64[:])
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(s.Shards))
-	buf.Write(u16[:])
-	binary.BigEndian.PutUint16(u16[:], uint16(s.Cores))
-	buf.Write(u16[:])
+	b := binary.BigEndian.AppendUint32([]byte{specVersion}, uint32(len(s.Family)))
+	b = binary.BigEndian.AppendUint64(append(b, s.Family...), uint64(s.Seed))
+	b = binary.BigEndian.AppendUint16(b, uint16(s.Shards))
+	b = binary.BigEndian.AppendUint16(b, uint16(s.Cores))
 	for _, v := range []int{s.Ticks, s.PacketsPerTick, s.Mutants, s.ProbeBudget, s.DutyMilli} {
-		binary.BigEndian.PutUint32(n[:], uint32(v))
-		buf.Write(n[:])
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
 	}
-	binary.BigEndian.PutUint64(u64[:], s.CycleBudget)
-	buf.Write(u64[:])
+	b = binary.BigEndian.AppendUint64(b, s.CycleBudget)
 	comp := compSBox
 	if s.Compression == "sum" {
 		comp = compSum
 	}
-	buf.WriteByte(comp)
-	buf.WriteByte(uint8(s.FreezeAt))
-
-	payload := buf.Bytes()
-	out := make([]byte, 0, 8+len(payload))
-	out = append(out, specMagic...)
-	var c [4]byte
-	binary.BigEndian.PutUint32(c[:], checksum(payload))
-	out = append(out, c[:]...)
-	return append(out, payload...)
+	return envelope.Seal(specMagic, append(b, comp, uint8(s.FreezeAt)))
 }
+
+// specFixed is the payload's size after the family name: seed, shards,
+// cores, five u32 fields, cycle budget, compression and freeze level.
+const specFixed = 8 + 2 + 2 + 5*4 + 8 + 1 + 1
 
 // DecodeSpec strictly parses a CAMP payload: bad magic, checksum
 // mismatches, unknown enums, truncation, out-of-range fields, and trailing
 // bytes are all rejected, and the decoded spec must itself validate.
 func DecodeSpec(wire []byte) (Spec, error) {
 	var s Spec
-	if len(wire) < 8 || string(wire[:4]) != specMagic {
-		return s, fmt.Errorf("%w: bad %s envelope", ErrWire, specMagic)
-	}
-	payload := wire[8:]
-	if binary.BigEndian.Uint32(wire[4:8]) != checksum(payload) {
-		return s, fmt.Errorf("%w: checksum mismatch", ErrWire)
-	}
-	r := bytes.NewReader(payload)
-	ver, err := r.ReadByte()
+	p, err := envelope.Open(wire, specMagic, ErrWire)
 	if err != nil {
-		return s, fmt.Errorf("%w: version: %v", ErrWire, err)
+		return s, err
 	}
-	if ver != specVersion {
-		return s, fmt.Errorf("%w: unsupported version %d", ErrWire, ver)
+	if len(p) < 5 || p[0] != specVersion {
+		return s, fmt.Errorf("%w: missing or unsupported version", ErrWire)
 	}
-	var flen uint32
-	if err := binary.Read(r, binary.BigEndian, &flen); err != nil {
-		return s, fmt.Errorf("%w: family length: %v", ErrWire, err)
+	flen := uint64(binary.BigEndian.Uint32(p[1:5]))
+	if p = p[5:]; flen+specFixed != uint64(len(p)) {
+		return s, fmt.Errorf("%w: %d payload bytes after the version, want %d", ErrWire, len(p), flen+specFixed)
 	}
-	if int64(flen) > int64(r.Len()) {
-		return s, fmt.Errorf("%w: family length %d exceeds payload", ErrWire, flen)
-	}
-	fam := make([]byte, flen)
-	if _, err := io.ReadFull(r, fam); err != nil {
-		return s, fmt.Errorf("%w: family: %v", ErrWire, err)
-	}
-	s.Family = string(fam)
-	var seed uint64
-	if err := binary.Read(r, binary.BigEndian, &seed); err != nil {
-		return s, fmt.Errorf("%w: seed: %v", ErrWire, err)
-	}
-	s.Seed = int64(seed)
-	var v16 uint16
-	if err := binary.Read(r, binary.BigEndian, &v16); err != nil {
-		return s, fmt.Errorf("%w: shards: %v", ErrWire, err)
-	}
-	s.Shards = int(v16)
-	if err := binary.Read(r, binary.BigEndian, &v16); err != nil {
-		return s, fmt.Errorf("%w: cores: %v", ErrWire, err)
-	}
-	s.Cores = int(v16)
-	u32s := []*int{&s.Ticks, &s.PacketsPerTick, &s.Mutants, &s.ProbeBudget, &s.DutyMilli}
-	for i, dst := range u32s {
-		var v uint32
-		if err := binary.Read(r, binary.BigEndian, &v); err != nil {
-			return s, fmt.Errorf("%w: u32 field %d: %v", ErrWire, i, err)
-		}
+	s.Family, p = string(p[:flen]), p[flen:]
+	s.Seed = int64(binary.BigEndian.Uint64(p))
+	s.Shards = int(binary.BigEndian.Uint16(p[8:]))
+	s.Cores = int(binary.BigEndian.Uint16(p[10:]))
+	for i, dst := range []*int{&s.Ticks, &s.PacketsPerTick, &s.Mutants, &s.ProbeBudget, &s.DutyMilli} {
+		v := binary.BigEndian.Uint32(p[12+4*i:])
 		if v > 1<<31-1 {
 			return s, fmt.Errorf("%w: u32 field %d overflows int", ErrWire, i)
 		}
 		*dst = int(v)
 	}
-	if err := binary.Read(r, binary.BigEndian, &s.CycleBudget); err != nil {
-		return s, fmt.Errorf("%w: cycle budget: %v", ErrWire, err)
-	}
-	comp, err := r.ReadByte()
-	if err != nil {
-		return s, fmt.Errorf("%w: compression: %v", ErrWire, err)
-	}
-	switch comp {
+	s.CycleBudget = binary.BigEndian.Uint64(p[32:])
+	switch p[40] {
 	case compSum:
 		s.Compression = "sum"
 	case compSBox:
 		s.Compression = "sbox"
 	default:
-		return s, fmt.Errorf("%w: unknown compression %d", ErrWire, comp)
+		return s, fmt.Errorf("%w: unknown compression %d", ErrWire, p[40])
 	}
-	fz, err := r.ReadByte()
-	if err != nil {
-		return s, fmt.Errorf("%w: freeze level: %v", ErrWire, err)
-	}
-	s.FreezeAt = threat.Level(fz)
-	if r.Len() != 0 {
-		return s, fmt.Errorf("%w: %d trailing spec bytes", ErrWire, r.Len())
-	}
+	s.FreezeAt = threat.Level(p[41])
 	if err := s.validate(); err != nil {
 		return s, fmt.Errorf("%w: %v", ErrWire, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"sdmmon/internal/envelope"
 	"sdmmon/internal/rollout"
 	"sdmmon/internal/seccrypto"
 )
@@ -131,14 +132,14 @@ func (r *FleetReport) Marshal() []byte {
 	putU64(&buf, r.Probe.Alarms)
 	putU64(&buf, r.Probe.Faults)
 	putU64(&buf, r.TotalAttempts)
-	return sealEnvelope("FLTR", buf.Bytes())
+	return envelope.Seal("FLTR", buf.Bytes())
 }
 
 // UnmarshalFleetReport strictly parses an FLTR payload: bad magic,
 // checksum mismatch, truncation, out-of-range enums, unsorted or duplicate
 // records, and trailing bytes are all rejected.
 func UnmarshalFleetReport(wire []byte) (*FleetReport, error) {
-	payload, err := openEnvelope(wire, "FLTR")
+	payload, err := envelope.Open(wire, "FLTR", ErrWire)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"sort"
 
+	"sdmmon/internal/envelope"
 	"sdmmon/internal/network"
 	"sdmmon/internal/seccrypto"
 )
@@ -17,19 +17,13 @@ import (
 // The control plane's wire formats. All follow the repo's serialization
 // idiom (seccrypto's ledger): 4-byte ASCII magic, big-endian fixed-width
 // integers, length-prefixed byte strings, and a strict decoder that rejects
-// truncation, bad counts, and trailing bytes. Bundles and commands carry an
-// FNV-1a checksum over their payload — the simulation's stand-in for the
+// truncation, bad counts, and trailing bytes. Every message travels in the
+// checksummed internal/envelope — the simulation's stand-in for the
 // signature check: a datagram corrupted on the wire fails verification at
 // the router and is retried by the sender, never trusted.
 
 // ErrWire is wrapped by every decode failure.
 var ErrWire = errors.New("fleet: malformed wire payload")
-
-func checksum(b []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum32()
-}
 
 func writeBytes(buf *bytes.Buffer, b []byte) {
 	var n [4]byte
@@ -51,28 +45,6 @@ func readBytes(r *bytes.Reader, what string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrWire, what, err)
 	}
 	return out, nil
-}
-
-// openEnvelope verifies a magic+checksum envelope and returns the payload.
-func openEnvelope(wire []byte, magic string) ([]byte, error) {
-	if len(wire) < 8 || string(wire[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad %s envelope", ErrWire, magic)
-	}
-	payload := wire[8:]
-	if binary.BigEndian.Uint32(wire[4:8]) != checksum(payload) {
-		return nil, fmt.Errorf("%w: %s checksum mismatch", ErrWire, magic)
-	}
-	return payload, nil
-}
-
-// sealEnvelope prepends magic and checksum to a payload.
-func sealEnvelope(magic string, payload []byte) []byte {
-	out := make([]byte, 0, 8+len(payload))
-	out = append(out, magic...)
-	var c [4]byte
-	binary.BigEndian.PutUint32(c[:], checksum(payload))
-	out = append(out, c[:]...)
-	return append(out, payload...)
 }
 
 func writeManifest(buf *bytes.Buffer, m seccrypto.Manifest) {
@@ -119,13 +91,13 @@ func EncodeBundle(b Bundle) []byte {
 	buf.Write(p[:])
 	writeBytes(&buf, b.Binary)
 	writeBytes(&buf, b.Graph)
-	return sealEnvelope("FLTB", buf.Bytes())
+	return envelope.Seal("FLTB", buf.Bytes())
 }
 
 // DecodeBundle strictly parses an FLTB payload.
 func DecodeBundle(wire []byte) (Bundle, error) {
 	var b Bundle
-	payload, err := openEnvelope(wire, "FLTB")
+	payload, err := envelope.Open(wire, "FLTB", ErrWire)
 	if err != nil {
 		return b, err
 	}
@@ -166,13 +138,13 @@ func EncodeCommand(c Command) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(c.Op)
 	writeManifest(&buf, c.Manifest)
-	return sealEnvelope("FLCM", buf.Bytes())
+	return envelope.Seal("FLCM", buf.Bytes())
 }
 
 // DecodeCommand strictly parses an FLCM payload.
 func DecodeCommand(wire []byte) (Command, error) {
 	var c Command
-	payload, err := openEnvelope(wire, "FLCM")
+	payload, err := envelope.Open(wire, "FLCM", ErrWire)
 	if err != nil {
 		return c, err
 	}
@@ -251,14 +223,14 @@ func (p *RotationPlan) Marshal() []byte {
 		binary.BigEndian.PutUint32(v[:], p.Params[id])
 		buf.Write(v[:])
 	}
-	return sealEnvelope("FLRP", buf.Bytes())
+	return envelope.Seal("FLRP", buf.Bytes())
 }
 
 // UnmarshalRotationPlan strictly parses an FLRP payload, rejecting
 // duplicate router IDs and duplicate parameters (a plan that violates the
 // rotation invariant must not decode).
 func UnmarshalRotationPlan(wire []byte) (*RotationPlan, error) {
-	payload, err := openEnvelope(wire, "FLRP")
+	payload, err := envelope.Open(wire, "FLRP", ErrWire)
 	if err != nil {
 		return nil, err
 	}

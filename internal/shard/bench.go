@@ -51,14 +51,11 @@ type BenchPoint struct {
 // cores and each line card run concurrently in real hardware), and the
 // aggregate is packets over that makespan at the modeled clock.
 //
-// The point is close to, but not exactly, deterministic per seed. The
-// drain hands the lane's live backlog to the application as its queue
-// depth, and ipv4cm takes its congestion-marking branch above
-// apps.CMThreshold, so a packet's cycle cost depends on how far the
-// submitter ran ahead of the shard worker. Ten runs of the BENCH_npu.json
-// shape (seed 1, 20000 packets, 2-vCPU host) spread by 0.3% at 1 shard,
-// 1.0% at 2 and 1.7% at 4 (14.54M–14.79M pps), but by 12.6% at 8 shards
-// (27.76M–31.26M), where eight workers share the host's CPUs.
+// The point is exact per seed. The plane is stepped (Config.Stepped): the
+// whole budget is offered before any card drains, then each card drains
+// to empty in shard order. A batch's queue depth — which ipv4cm reads for
+// its congestion branch above apps.CMThreshold — is therefore the card's
+// remaining backlog, fixed by this schedule rather than by worker timing.
 func MeasureThroughput(cfg BenchConfig) (BenchPoint, error) {
 	if cfg.Shards < 1 || cfg.CoresPerShard < 1 {
 		return BenchPoint{}, fmt.Errorf("shard: bench needs shards >= 1 and cores >= 1")
@@ -90,11 +87,11 @@ func MeasureThroughput(cfg BenchConfig) (BenchPoint, error) {
 	// (threshold = capacity): no tail drops and no marking drops, so every
 	// run of a seed processes the identical packet set.
 	plane, err := NewPlane(Config{
-		NPs:               nps,
-		QueueCapacity:     cfg.Packets,
-		MarkThreshold:     cfg.Packets,
-		BatchSize:         cfg.Batch,
-		RecordBatchCycles: true,
+		NPs:           nps,
+		QueueCapacity: cfg.Packets,
+		MarkThreshold: cfg.Packets,
+		BatchSize:     cfg.Batch,
+		Stepped:       true,
 	})
 	if err != nil {
 		return BenchPoint{}, err
@@ -106,6 +103,14 @@ func MeasureThroughput(cfg BenchConfig) (BenchPoint, error) {
 	pkts := gen.NextBatch(make([][]byte, cfg.Packets))
 
 	plane.SubmitBatch(pkts)
+	var bc []uint64
+	for s := range nps {
+		c, err := plane.Step(s, cfg.Packets)
+		if err != nil {
+			return BenchPoint{}, err
+		}
+		bc = append(bc, c...)
+	}
 	plane.Close()
 
 	st := plane.Stats()
@@ -137,7 +142,7 @@ func MeasureThroughput(cfg BenchConfig) (BenchPoint, error) {
 	if makespan > 0 {
 		p.SimAggPktsPerSec = float64(p.Packets) * clockHz / float64(makespan)
 	}
-	if bc := plane.BatchCycles(); len(bc) > 0 {
+	if len(bc) > 0 {
 		sort.Slice(bc, func(i, j int) bool { return bc[i] < bc[j] })
 		idx := (len(bc)*99+99)/100 - 1 // ceil(0.99 n) - 1: nearest-rank p99
 		if idx < 0 {

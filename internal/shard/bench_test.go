@@ -6,10 +6,8 @@ import "testing"
 // aggregate throughput at 4 shards must be at least 1.6x the 1-shard plane
 // of the same per-shard shape. The number is virtual-time (per-shard busy
 // cycles over the modeled clock), so the host's core count does not enter
-// it. It is not bit-exact per seed: ipv4cm's congestion branch reads the
-// live lane depth at drain time, so cycle counts move with worker timing
-// (see MeasureThroughput). Ten runs on a 2-vCPU host read 3.20x–3.29x,
-// far above the 1.6x floor.
+// it, and it is exact per seed (MeasureThroughput drives a stepped plane):
+// it reads 3.24x, far above the 1.6x floor.
 func TestShardScalingGate(t *testing.T) {
 	point := func(shards int) float64 {
 		p, err := MeasureThroughput(BenchConfig{

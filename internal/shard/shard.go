@@ -57,6 +57,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -194,9 +195,12 @@ type Config struct {
 	// view goes stale (its card repartitioned under the plane) is refused
 	// every batch with npu.ErrUnknownDomain and fails over.
 	Tenancy *TenancyConfig
-	// RecordBatchCycles retains every drained batch's simulated cycle cost
-	// for latency percentiles. Bench-only: it allocates per batch.
-	RecordBatchCycles bool
+	// Stepped builds a plane with no drain workers: nothing drains until
+	// the caller runs Step, and Close drains the backlog synchronously.
+	// Deterministic callers (the campaign families and the model benches)
+	// use it, so every batch sees a queue depth fixed by their schedule.
+	// Submissions and Steps must then come from one goroutine.
+	Stepped bool
 }
 
 // tenantLane is one (card, tenant) pair: the tenant's lock-free ingress
@@ -259,8 +263,7 @@ type tenantLane struct {
 
 // lineCard is one shard: an NP's per-tenant lanes (each holding its view
 // of the NP) and the worker state draining them. The mutex below exists
-// only as the worker's parking lot (and for the bench-only batch-cycle
-// log).
+// only as the worker's parking lot.
 type lineCard struct {
 	id    int
 	salt  uint64
@@ -284,10 +287,12 @@ type lineCard struct {
 	parked atomic.Bool
 
 	batches atomic.Uint64
+	// shed is set once a stepped plane's card has failed over and shed its
+	// rings (the worker of a concurrent plane exits at that point instead).
+	shed bool
 
-	mu          sync.Mutex // parking lot + bench-only batchCycles
-	cond        *sync.Cond
-	batchCycles []uint64
+	mu   sync.Mutex // parking lot
+	cond *sync.Cond
 }
 
 // anyQueued reports whether any lane (dead or not) holds packets.
@@ -349,7 +354,10 @@ type Plane struct {
 	capacity  int
 	markAt    int
 	batchSize int
-	record    bool
+	// stepped planes have no workers; Step drains through one buffer.
+	stepped   bool
+	stepBatch [][]byte
+	stepBufs  []*pbuf
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 	lockdown  atomic.Bool
@@ -383,7 +391,8 @@ type Plane struct {
 	tcAppDrops                       []*obs.Counter
 }
 
-// NewPlane builds the plane and starts one drain worker per shard.
+// NewPlane builds the plane and starts one drain worker per shard (none
+// when Config.Stepped is set).
 func NewPlane(cfg Config) (*Plane, error) {
 	if len(cfg.NPs) == 0 {
 		return nil, fmt.Errorf("shard: plane needs at least one NP")
@@ -435,7 +444,7 @@ func NewPlane(cfg Config) (*Plane, error) {
 		capacity:      cfg.QueueCapacity,
 		markAt:        markAt,
 		batchSize:     batch,
-		record:        cfg.RecordBatchCycles,
+		stepped:       cfg.Stepped,
 		tlock:         make([]atomic.Bool, numT),
 		starvedSubmit: make([]atomic.Uint64, numT),
 		cArrived:      reg.Counter("shard_arrived_total"),
@@ -502,6 +511,10 @@ func NewPlane(cfg Config) (*Plane, error) {
 		lc.alive.Store(true)
 		p.cards = append(p.cards, lc)
 	}
+	if p.stepped {
+		p.stepBatch, p.stepBufs = make([][]byte, batch), make([]*pbuf, batch)
+		return p, nil
+	}
 	for _, lc := range p.cards {
 		p.wg.Add(1)
 		go p.worker(lc)
@@ -511,10 +524,6 @@ func NewPlane(cfg Config) (*Plane, error) {
 
 // Shards reports the number of line cards (healthy or not).
 func (p *Plane) Shards() int { return len(p.cards) }
-
-// Tenants reports the tenant (protection-domain) names in tenant-index
-// order; a single-tenant plane reports [""].
-func (p *Plane) Tenants() []string { return append([]string(nil), p.tenants...) }
 
 // tenantOf classifies a packet. -1 means the classifier refused it.
 func (p *Plane) tenantOf(pkt []byte) int {
@@ -849,106 +858,11 @@ func (p *Plane) worker(lc *lineCard) {
 	batch := make([][]byte, p.batchSize)
 	bufs := make([]*pbuf, p.batchSize)
 	for {
-		if lc.failed.Load() {
-			p.shedAndExit(lc, 0)
+		n, done := p.drain(lc, batch, bufs, p.batchSize*len(lc.lanes), nil)
+		if done {
 			return
 		}
-		drained := false
-		var deadExtra uint64
-		for _, lane := range lc.lanes {
-			if lane.dead.Load() {
-				// Stragglers published into a dead lane between sweeps are
-				// swept here; the parking check covers the final race.
-				p.sweepLane(lane)
-				continue
-			}
-			n := 0
-			for n < p.batchSize {
-				b := lane.queue.Dequeue()
-				if b == nil {
-					break
-				}
-				bufs[n] = b
-				batch[n] = b.data
-				n++
-			}
-			if n == 0 {
-				continue
-			}
-			drained = true
-
-			lane.inflight.Store(int64(n))
-			// The gauge covers queued + in-flight from the moment of
-			// dequeue, so a scrape between dequeue and accounting agrees
-			// with Stats().Backlog instead of understating by the batch in
-			// flight.
-			lane.depth.Set(float64(lane.queue.Len() + n))
-			if p.drainHook != nil {
-				p.drainHook(lc.id, batch[:n])
-			}
-			// The congestion-management applications see the residual
-			// backlog as their queue depth — the post-drain state of this
-			// lane. The release hook recycles the arena buffers at the
-			// earliest safe moment: the batch engine's last read of the
-			// input slices.
-			release := func() {
-				for i := 0; i < n; i++ {
-					lane.pool.Put(bufs[i])
-					bufs[i] = nil
-				}
-			}
-			out, err := lane.view.DrainBatchRelease(batch[:n], lane.queue.Len(), release)
-			dead := !lane.view.Healthy() ||
-				(err != nil && (errors.Is(err, npu.ErrNoCoreAvailable) || errors.Is(err, npu.ErrNoAppInstalled)))
-
-			lc.batches.Add(1)
-			lane.processed.Add(out.Processed)
-			lane.forwarded.Add(out.Forwarded)
-			lane.appDrops.Add(out.Dropped)
-			lane.alarms.Add(out.Alarms)
-			lane.faults.Add(out.Faults)
-			lane.ecnMarked.Add(out.ECNMarked)
-			lane.cycles.Add(out.Cycles)
-			if p.record {
-				lc.mu.Lock()
-				lc.batchCycles = append(lc.batchCycles, out.Cycles)
-				lc.mu.Unlock()
-			}
-			extra := uint64(0)
-			if out.Unprocessed > 0 {
-				if dead {
-					// The batch tail never ran because the lane's domain
-					// wedged: shed it, conservation intact.
-					extra = uint64(out.Unprocessed)
-					lane.starved.Add(extra)
-					p.cStarved.Add(extra)
-					p.tcStarved[lane.tenant].Add(extra)
-				} else {
-					// Rejected before execution (oversize) on a healthy NP.
-					lane.rejected.Add(uint64(out.Unprocessed))
-				}
-			}
-			lane.inflight.Store(0)
-			p.cForwarded.Add(out.Forwarded)
-			p.cAppDrops.Add(out.Dropped)
-			p.tcForwarded[lane.tenant].Add(out.Forwarded)
-			p.tcAppDrops[lane.tenant].Add(out.Dropped)
-			if dead {
-				deadExtra += extra
-				p.killLane(lc, lane, extra)
-				continue
-			}
-			if lane.queue.Len() < int(lane.markAt.Load()) {
-				lane.backpressure.Store(false)
-			}
-			lane.depth.Set(float64(lane.queue.Len()))
-		}
-		if lc.allDead() {
-			p.failCard(lc)
-			p.shedAndExit(lc, deadExtra)
-			return
-		}
-		if !drained {
+		if n == 0 {
 			if lc.closed.Load() {
 				if lc.producers.Load() == 0 && lc.allEmpty() {
 					return
@@ -959,6 +873,146 @@ func (p *Plane) worker(lc *lineCard) {
 				continue
 			}
 			lc.park()
+		}
+	}
+}
+
+// drain is the plane's one drain step, run by a card's worker or by Step:
+// sweep dead lanes, then take one batch (at most len(batch) packets) from
+// each live lane in lane order — budget packets in all — through the
+// lane's npu view, account it, and fail over a lane whose view wedged and
+// a card whose lanes all died. A failed card's rings are shed as starved
+// drops. It returns the packets dequeued and whether the card is finished
+// (failed over and shed). cycles, when non-nil, collects each batch's
+// simulated cycle cost.
+func (p *Plane) drain(lc *lineCard, batch [][]byte, bufs []*pbuf, budget int, cycles *[]uint64) (int, bool) {
+	if lc.failed.Load() {
+		p.shedAndExit(lc, 0)
+		return 0, true
+	}
+	drained := 0
+	var deadExtra uint64
+	for _, lane := range lc.lanes {
+		if lane.dead.Load() {
+			// Stragglers published into a dead lane between sweeps are
+			// swept here; the parking check covers the final race.
+			p.sweepLane(lane)
+			continue
+		}
+		n := 0
+		for n < len(batch) && drained+n < budget {
+			b := lane.queue.Dequeue()
+			if b == nil {
+				break
+			}
+			bufs[n] = b
+			batch[n] = b.data
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		drained += n
+
+		lane.inflight.Store(int64(n))
+		// The gauge covers queued + in-flight from the moment of
+		// dequeue, so a scrape between dequeue and accounting agrees
+		// with Stats().Backlog instead of understating by the batch in
+		// flight.
+		lane.depth.Set(float64(lane.queue.Len() + n))
+		if p.drainHook != nil {
+			p.drainHook(lc.id, batch[:n])
+		}
+		// The congestion-management applications see the residual
+		// backlog as their queue depth — the post-drain state of this
+		// lane. The release hook recycles the arena buffers at the
+		// earliest safe moment: the batch engine's last read of the
+		// input slices.
+		release := func() {
+			for i := 0; i < n; i++ {
+				lane.pool.Put(bufs[i])
+				bufs[i] = nil
+			}
+		}
+		out, err := lane.view.DrainBatchRelease(batch[:n], lane.queue.Len(), release)
+		dead := !lane.view.Healthy() ||
+			(err != nil && (errors.Is(err, npu.ErrNoCoreAvailable) || errors.Is(err, npu.ErrNoAppInstalled)))
+
+		lc.batches.Add(1)
+		lane.processed.Add(out.Processed)
+		lane.forwarded.Add(out.Forwarded)
+		lane.appDrops.Add(out.Dropped)
+		lane.alarms.Add(out.Alarms)
+		lane.faults.Add(out.Faults)
+		lane.ecnMarked.Add(out.ECNMarked)
+		lane.cycles.Add(out.Cycles)
+		if cycles != nil {
+			*cycles = append(*cycles, out.Cycles)
+		}
+		extra := uint64(0)
+		if out.Unprocessed > 0 {
+			if dead {
+				// The batch tail never ran because the lane's domain
+				// wedged: shed it, conservation intact.
+				extra = uint64(out.Unprocessed)
+				lane.starved.Add(extra)
+				p.cStarved.Add(extra)
+				p.tcStarved[lane.tenant].Add(extra)
+			} else {
+				// Rejected before execution (oversize) on a healthy NP.
+				lane.rejected.Add(uint64(out.Unprocessed))
+			}
+		}
+		lane.inflight.Store(0)
+		p.cForwarded.Add(out.Forwarded)
+		p.cAppDrops.Add(out.Dropped)
+		p.tcForwarded[lane.tenant].Add(out.Forwarded)
+		p.tcAppDrops[lane.tenant].Add(out.Dropped)
+		if dead {
+			deadExtra += extra
+			p.killLane(lc, lane, extra)
+			continue
+		}
+		if lane.queue.Len() < int(lane.markAt.Load()) {
+			lane.backpressure.Store(false)
+		}
+		lane.depth.Set(float64(lane.queue.Len()))
+	}
+	if lc.allDead() {
+		p.failCard(lc)
+		p.shedAndExit(lc, deadExtra)
+		return drained, true
+	}
+	return drained, false
+}
+
+// Step drives one card of a stepped plane (Config.Stepped): it runs drain
+// rounds until budget packets have been drained or the card's lanes are
+// empty, and returns the simulated cycle cost of each batch it drained, in
+// drain order. The first Step after a card fails over sheds its backlog as
+// starved drops. Nothing else drains a stepped plane, so a caller that
+// submits and steps on a fixed schedule fixes the queue depth every batch
+// sees. It is an error on a plane with drain workers.
+func (p *Plane) Step(shard, budget int) ([]uint64, error) {
+	if !p.stepped {
+		return nil, errors.New("shard: Step on a plane with drain workers")
+	}
+	if shard < 0 || shard >= len(p.cards) {
+		return nil, fmt.Errorf("shard: no shard %d", shard)
+	}
+	var cycles []uint64
+	p.step(p.cards[shard], budget, &cycles)
+	return cycles, nil
+}
+
+// step runs drain rounds on a stepped plane's card (see Step).
+func (p *Plane) step(lc *lineCard, budget int, cycles *[]uint64) {
+	for !lc.shed {
+		n, done := p.drain(lc, p.stepBatch, p.stepBufs, budget, cycles)
+		lc.shed = done
+		budget -= n
+		if n == 0 || budget <= 0 {
+			return
 		}
 	}
 }
@@ -1175,13 +1229,16 @@ func (p *Plane) TenantLockedDown(tenant int) bool {
 }
 
 // Close stops the plane: workers finish their remaining backlog (waiting
-// out producers mid-publish), then exit. Submissions racing with Close
-// are still accounted (as queued or starved); Submit after Close returns
-// AdmitStarved.
+// out producers mid-publish), then exit; a stepped plane drains its
+// backlog synchronously. Submissions racing with Close are still accounted
+// (as queued or starved); Submit after Close returns AdmitStarved.
 func (p *Plane) Close() {
 	p.closed.Store(true)
 	for _, lc := range p.cards {
 		lc.closed.Store(true)
+		if p.stepped {
+			p.step(lc, math.MaxInt, nil)
+		}
 		lc.wake()
 	}
 	p.wg.Wait()
@@ -1375,18 +1432,6 @@ func (p *Plane) LaneCycles() [][]uint64 {
 			row[t] = lane.cycles.Load()
 		}
 		out[i] = row
-	}
-	return out
-}
-
-// BatchCycles returns every drained batch's simulated cycle cost across
-// all shards (only populated under Config.RecordBatchCycles).
-func (p *Plane) BatchCycles() []uint64 {
-	var out []uint64
-	for _, lc := range p.cards {
-		lc.mu.Lock()
-		out = append(out, lc.batchCycles...)
-		lc.mu.Unlock()
 	}
 	return out
 }

@@ -8,18 +8,19 @@ package tenant
 // added. The measurement is virtual-time, like the shard bench: a tenant's
 // makespan is its slowest lane's busy cycles over its core count, and its
 // throughput is its packet budget over that makespan at the modeled clock.
-// Like the shard bench it is not bit-exact per seed: the drain passes the
-// lane's live backlog to ipv4cm as its queue depth, and ipv4cm's
-// congestion branch above apps.CMThreshold adds cycles, so the numbers
-// move with worker timing. Twelve runs of the BENCH_npu.json shape (seed
-// 1, 5000 packets per tenant, 2-vCPU host) spread the slowest tenant by
-// under 1% (8.48M–8.57M pps at tenants=1, 7.98M–8.01M at tenants=4).
+// Like the shard bench it is exact per seed. The plane is stepped
+// (shard.Config.Stepped): every tenant's budget is offered before any card
+// drains, then each card drains to empty in shard order, one batch per
+// lane per round. A batch's queue depth — which ipv4cm reads for its
+// congestion branch above apps.CMThreshold — is its lane's remaining
+// backlog, fixed by this schedule rather than by worker timing.
 
 import (
 	"fmt"
 
 	"sdmmon/internal/npu"
 	"sdmmon/internal/packet"
+	"sdmmon/internal/shard"
 )
 
 // IsolationConfig describes one isolation measurement point.
@@ -93,13 +94,18 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		clockHz = 100e6
 	}
 
-	specs := make([]Spec, cfg.Tenants)
+	// Each tenant owns CoresPerTenant cores of every NP. NewBenchNP
+	// pre-installs on every core, which SetDomains preserves, so the
+	// domains are live without a per-tenant install; the isolation
+	// property under test is dispatch and accounting, not provisioning.
+	specs := make([]npu.DomainSpec, cfg.Tenants)
+	names := make([]string, cfg.Tenants)
 	for t := range specs {
-		cores := make([]int, cfg.CoresPerTenant)
-		for c := range cores {
-			cores[c] = t*cfg.CoresPerTenant + c
+		names[t] = fmt.Sprintf("t%d", t)
+		specs[t] = npu.DomainSpec{Name: names[t]}
+		for c := 0; c < cfg.CoresPerTenant; c++ {
+			specs[t].Cores = append(specs[t].Cores, t*cfg.CoresPerTenant+c)
 		}
-		specs[t] = Spec{Name: fmt.Sprintf("t%d", t), Cores: cores}
 	}
 	nps := make([]*npu.NP, cfg.Shards)
 	for i := range nps {
@@ -107,24 +113,23 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		if err != nil {
 			return IsolationPoint{}, err
 		}
+		if err := np.SetDomains(specs); err != nil {
+			return IsolationPoint{}, err
+		}
 		nps[i] = np
 	}
 	// Capacity covers each tenant's full budget and plane marking is
-	// disabled, so the run is loss-free and every run of a seed processes
-	// the identical packet set.
-	mgr, err := New(Config{
+	// disabled, so the run is loss-free.
+	plane, err := shard.NewPlane(shard.Config{
 		NPs:           nps,
-		Specs:         specs,
-		Classify:      benchClassify,
 		QueueCapacity: cfg.PacketsPerTenant,
 		MarkThreshold: cfg.PacketsPerTenant,
+		Tenancy:       &shard.TenancyConfig{Tenants: names, Classify: benchClassify},
+		Stepped:       true,
 	})
 	if err != nil {
 		return IsolationPoint{}, err
 	}
-	// NewBenchNP pre-installs on every core, which SetDomains preserves, so
-	// the domains are live without a per-tenant install here; the isolation
-	// property under test is dispatch and accounting, not provisioning.
 
 	payload := []byte("isolation-bench")
 	total := cfg.Tenants * cfg.PacketsPerTenant
@@ -139,10 +144,10 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		}
 	}
 
-	mgr.Plane().SubmitBatch(pkts)
-	mgr.Close()
+	plane.SubmitBatch(pkts)
+	plane.Close()
 
-	st := mgr.Plane().Stats()
+	st := plane.Stats()
 	if !st.Conserved() {
 		return IsolationPoint{}, fmt.Errorf("tenant: bench run not conserved")
 	}
@@ -158,7 +163,7 @@ func MeasureIsolation(cfg IsolationConfig) (IsolationPoint, error) {
 		PacketsPerTenant: uint64(cfg.PacketsPerTenant),
 		PerTenant:        make([]float64, cfg.Tenants),
 	}
-	lanes := mgr.Plane().LaneCycles()
+	lanes := plane.LaneCycles()
 	var aggMakespan uint64
 	for t := 0; t < cfg.Tenants; t++ {
 		ts := st.Tenants[t]

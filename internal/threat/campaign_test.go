@@ -116,13 +116,13 @@ func TestThreatSlowDripStaysLow(t *testing.T) {
 	if !res.Stats.Conserved() {
 		t.Errorf("packet conservation violated: %+v", res.Stats)
 	}
-	if res.Stats.Alarms == 0 {
+	if res.MutantsDetected == 0 {
 		t.Error("slow drip never alarmed at all — the drip fixture is not attacking")
 	}
 }
 
-// Campaign model conservation must hold mid-run at every tick, not just at
-// the end — responses (rehash sheds, lockdown starvation, tightening) fire
+// Campaign conservation must hold mid-run at every tick, not just at the
+// end — responses (rehash sheds, lockdown starvation, tightening) fire
 // mid-traffic and each must keep the books balanced. RunCampaign fails on
 // the first tick whose books do not balance; the final stats are checked
 // here as well.

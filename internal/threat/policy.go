@@ -55,8 +55,8 @@ func ParseAction(s string) (Action, error) {
 // Responder executes graded responses against the plane. The engine calls
 // it with the offending shard/core of the transition that fired the action;
 // Relax is called on every de-escalation so reversible responses (admission
-// tightening) can be undone when the threat passes. Implementations:
-// PlaneResponder (the live shard.Plane) and the campaign's replay model.
+// tightening) can be undone when the threat passes. PlaneResponder binds
+// it to a shard.Plane — concurrent, or stepped as the campaigns drive it.
 type Responder interface {
 	TightenAdmission(shard int) error
 	IsolateCore(shard, core int) error

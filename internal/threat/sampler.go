@@ -53,7 +53,7 @@ type samplerState struct {
 // SamplerConfig configures a live sampler.
 type SamplerConfig struct {
 	// Plane is the traffic plane whose ingress stats feed the backpressure
-	// signal; nil disables that signal (campaigns model their own queues).
+	// signal; nil disables that signal (an NP-only sampler).
 	Plane *shard.Plane
 	// NPs are the line cards, index = shard. The per-core signals read
 	// each NP's own cycle histograms, so an NP built without a collector

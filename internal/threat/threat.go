@@ -22,7 +22,7 @@
 //     core, rehash flows off a shard, zeroize staged upgrade bundles, full
 //     plane lockdown — fired through a Responder so the engine stays
 //     decoupled from the plane it protects (responder.go binds the real
-//     shard.Plane; internal/campaign binds its deterministic replay model);
+//     shard.Plane, which internal/campaign drives deterministically);
 //
 //   - a forensic capture unit (incident.go) that, on HIGH/CRITICAL
 //     escalations, snapshots the pre-trigger obs EventRing window plus a
