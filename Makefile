@@ -136,6 +136,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDeserializeProgram -fuzztime=30s ./internal/asm/
 	$(GO) test -run=NONE -fuzz=FuzzDeserializeGraph -fuzztime=30s ./internal/monitor/
 	$(GO) test -run=NONE -fuzz=FuzzPackedMonitorEquivalence -fuzztime=30s ./internal/monitor/
+	$(GO) test -run=NONE -fuzz=FuzzStepPortEquivalence -fuzztime=30s ./internal/cpu/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalPackage -fuzztime=30s ./internal/seccrypto/
 	$(GO) test -run=NONE -fuzz=FuzzProcessPacket -fuzztime=30s ./internal/npu/
 	$(GO) test -run=NONE -fuzz=FuzzThreatPolicy -fuzztime=30s ./internal/threat/

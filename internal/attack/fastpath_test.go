@@ -46,6 +46,33 @@ func fastAndRefMonitors(t *testing.T, param uint32) (*monitor.PackedMonitor, *mo
 	return fastMon, refMon, fastCore, refCore
 }
 
+// portCore builds an ipv4cm core whose packed monitor is stepped through
+// the core's port (cpu.CPU.Attach), as the NP wires it: hashes come from
+// the core's own word cache over an uncached hash unit.
+func portCore(t *testing.T, param uint32) (*monitor.PackedMonitor, *apps.Core) {
+	t.Helper()
+	prog, err := apps.IPv4CM().Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mhash.NewMerkle(param)
+	g, err := monitor.Extract(prog, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := monitor.Pack(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := monitor.NewPacked(p, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := apps.NewCore(prog)
+	c.CPU().Attach(m, h, nil)
+	return m, c
+}
+
 // TestFastPathEquivalenceE8Attack: both implementations detect the
 // stack-smash hijack, at the same instruction, every time.
 func TestFastPathEquivalenceE8Attack(t *testing.T) {
@@ -125,12 +152,15 @@ func TestFastPathPacketDerivedCode(t *testing.T) {
 
 	param := uint32(0x2468ACE0)
 	fastMon, refMon, fastCore, refCore := fastAndRefMonitors(t, param)
+	portMon, pcore := portCore(t, param)
 
 	for round, pkt := range [][]byte{pktA, pktB, pktA} {
 		fastMon.Reset()
 		refMon.Reset()
+		portMon.Reset()
 		fastCore.Process(pkt, 0)
 		refCore.Process(pkt, 0)
+		pcore.Process(pkt, 0)
 		if fastMon.Alarmed() != refMon.Alarmed() {
 			t.Fatalf("round %d: alarm fast=%v ref=%v", round, fastMon.Alarmed(), refMon.Alarmed())
 		}
@@ -141,6 +171,17 @@ func TestFastPathPacketDerivedCode(t *testing.T) {
 		rc, _, _ := refMon.Counters()
 		if fc != rc {
 			t.Fatalf("round %d: checked fast=%d ref=%d", round, fc, rc)
+		}
+		// The core's word cache is keyed by word too: the port core,
+		// whose cache outlives every round, agrees with the reference.
+		if portMon.Alarmed() != refMon.Alarmed() {
+			t.Fatalf("round %d: alarm port=%v ref=%v", round, portMon.Alarmed(), refMon.Alarmed())
+		}
+		if portMon.AlarmPC() != refMon.AlarmPC() {
+			t.Fatalf("round %d: alarm pc port=%#x ref=%#x", round, portMon.AlarmPC(), refMon.AlarmPC())
+		}
+		if pchk, _, _ := portMon.Counters(); pchk != rc {
+			t.Fatalf("round %d: checked port=%d ref=%d", round, pchk, rc)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sdmmon/internal/isa"
+	"sdmmon/internal/mhash"
 )
 
 // ExceptionKind enumerates the architectural exceptions the core raises.
@@ -68,6 +69,14 @@ func (e *Exception) Error() string {
 // attachment point for the hardware monitor.
 type TraceFunc func(pc uint32, w isa.Word) bool
 
+// Port is the hardware monitor's side of the core's instruction report
+// port: Step consumes one retired instruction as its pc and its hash under
+// the core's installed parameter, and returning false asserts the reset
+// line, as a TraceFunc does. *monitor.PackedMonitor implements it.
+type Port interface {
+	Step(pc uint32, h uint8) bool
+}
+
 // SyscallFunc services a syscall instruction. Register state may be
 // inspected and modified through the CPU. Returning false halts the core.
 type SyscallFunc func(c *CPU) bool
@@ -84,13 +93,70 @@ type CPU struct {
 	// Retired counts retired instructions.
 	Retired uint64
 
-	// Trace, if non-nil, observes every retired instruction (the monitor
-	// port).
+	// Trace, if non-nil, observes every retired instruction while no Port
+	// is attached (the reference monitor, tools and attack searches).
 	Trace TraceFunc
 	// Syscall, if non-nil, services syscall instructions.
 	Syscall SyscallFunc
 
 	halted bool
+
+	// The attached monitor port (see Attach), the hash unit feeding it,
+	// the optional forensic ring, and the word cache.
+	port  Port
+	hash  mhash.Hasher
+	ring  *Tracer
+	words *[1 << wordCacheBits]uint64
+}
+
+// The word cache is direct-mapped and keyed by the instruction word itself,
+// never by the pc: the hash and the decode are pure functions of the word,
+// so an entry cannot go stale, not even when packet-derived code puts new
+// words at addresses that held others. A PC-keyed cache would replay the
+// old word's hash and accept the substitution. An entry packs the word
+// (bits 0-31), its hash (bits 32-39), isa.Valid (bit wordValid) and a
+// filled flag (bit 63), so a lookup is one load and one compare; 4096
+// entries are 32 KiB per core, an order of magnitude more lines than the
+// largest built-in application has distinct words.
+const (
+	wordCacheBits   = 12
+	wordFilled      = 1 << 63
+	wordValid       = 1 << 40
+	wordKey         = wordFilled | 0xFFFFFFFF
+	fibonacciSpread = 2654435761
+)
+
+// Attach connects the monitor port p, fed with each retired word's hash
+// under h, and clears the word cache. ring, if non-nil, records every
+// retired instruction and whether p rejected it (the forensic view). While
+// a port is attached, Trace is not consulted; Attach(nil, nil, nil)
+// detaches it.
+func (c *CPU) Attach(p Port, h mhash.Hasher, ring *Tracer) {
+	c.port, c.hash, c.ring = p, h, ring
+	switch {
+	case p == nil:
+		c.words = nil
+	case c.words == nil:
+		c.words = new([1 << wordCacheBits]uint64)
+	default:
+		clear(c.words[:])
+	}
+}
+
+// lookup returns the word cache entry of raw, filling its line on a miss.
+// Fibonacci scrambling spreads the structured bit patterns of machine code
+// (opcode and function fields cluster at both ends) across the lines.
+func (c *CPU) lookup(raw uint32) uint64 {
+	i := (raw * fibonacciSpread) >> (32 - wordCacheBits)
+	if e := c.words[i]; e&wordKey == wordFilled|uint64(raw) {
+		return e
+	}
+	e := wordFilled | uint64(c.hash.Hash(raw))<<32 | uint64(raw)
+	if isa.Valid(isa.Word(raw)) {
+		e |= wordValid
+	}
+	c.words[i] = e
+	return e
 }
 
 // Cycle costs approximating the multi-cycle PLASMA units. Every instruction
@@ -137,6 +203,11 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Exception) {
 
 // Step executes one instruction. A nil return means the instruction retired
 // normally (or the core halted via break).
+//
+// The monitor observes every fetched word, an invalid one included: it
+// still "retires" from the fetch stage in hardware, so the monitor sees it
+// before the trap. An alarm resets the core before the instruction's
+// effects, which is where the attack is caught either way.
 func (c *CPU) Step() *Exception {
 	pc := c.PC
 	raw, ok := c.Mem.Load32(pc)
@@ -144,22 +215,25 @@ func (c *CPU) Step() *Exception {
 		return &Exception{Kind: ExcBusError, PC: pc, Addr: pc}
 	}
 	w := isa.Word(raw)
-	if !isa.Valid(w) {
-		// The word still "retires" from the fetch stage in hardware, so
-		// the monitor sees it before the trap; report it first.
+	if c.port != nil {
+		e := c.lookup(raw)
+		ok := c.port.Step(pc, uint8(e>>32))
+		if c.ring != nil {
+			c.ring.record(pc, w, !ok)
+		}
+		if !ok {
+			return &Exception{Kind: ExcMonitorAlarm, PC: pc}
+		}
+		if e&wordValid == 0 {
+			return &Exception{Kind: ExcReservedInstr, PC: pc}
+		}
+	} else {
 		if c.Trace != nil && !c.Trace(pc, w) {
 			return &Exception{Kind: ExcMonitorAlarm, PC: pc}
 		}
-		return &Exception{Kind: ExcReservedInstr, PC: pc}
-	}
-
-	// Report to the monitor port. The monitor observes the instruction as
-	// it retires; an alarm resets the core before architectural state can
-	// propagate further, which we model by checking before execution of
-	// the *next* effect-bearing step is irrelevant — the attack is caught
-	// at this instruction boundary either way.
-	if c.Trace != nil && !c.Trace(pc, w) {
-		return &Exception{Kind: ExcMonitorAlarm, PC: pc}
+		if !isa.Valid(w) {
+			return &Exception{Kind: ExcReservedInstr, PC: pc}
+		}
 	}
 
 	c.Cycles++

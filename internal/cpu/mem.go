@@ -1,8 +1,9 @@
 // Package cpu simulates the PLASMA-like MIPS-I network processor core used
 // on the paper's prototype. The simulator is an ISA-level interpreter with a
-// cycle counter and a per-retired-instruction trace tap; the hardware
-// monitor (internal/monitor) attaches to that tap exactly as the RTL monitor
-// attaches to the core's instruction report port.
+// cycle counter, a per-retired-instruction report port (Port, fed each
+// word's hash from the core's word cache) and a trace tap; the hardware
+// monitor (internal/monitor) attaches to the port exactly as the RTL
+// monitor attaches to the core's instruction report port.
 //
 // Memory is unified and byte-addressable (big-endian, as on MIPS): packet
 // payload lives in the same address space as code, which is precisely the
@@ -105,10 +106,14 @@ func (m *Memory) inRange(addr uint32, n int) bool {
 	return int(addr)+n <= len(m.data) && int(addr) >= 0
 }
 
-// Load32 reads a big-endian word. ok=false on a bus error.
+// Load32 reads a big-endian word. ok=false on a bus error. With no MMIO
+// window mapped it reads RAM directly, skipping the window scan; this is
+// the instruction fetch and every lw.
 func (m *Memory) Load32(addr uint32) (uint32, bool) {
-	if h, hit := m.mmioAt(addr); hit {
-		return h.Load(addr, 4), true
+	if len(m.mmio) != 0 {
+		if h, hit := m.mmioAt(addr); hit {
+			return h.Load(addr, 4), true
+		}
 	}
 	if !m.inRange(addr, 4) {
 		return 0, false

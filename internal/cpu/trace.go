@@ -7,10 +7,11 @@ import (
 	"sdmmon/internal/isa"
 )
 
-// Tracer is a ring-buffer execution tracer: it chains in front of any other
-// trace consumer (such as the hardware monitor) and keeps the last N
-// retired instructions with disassembly — the forensic view of what a core
-// was doing when an alarm fired.
+// Tracer is a ring-buffer execution tracer: it keeps the last N retired
+// instructions with disassembly — the forensic view of what a core was
+// doing when an alarm fired. It records either as a TraceFunc chained in
+// front of another trace consumer, or as the ring of a core's monitor port
+// (CPU.Attach).
 type Tracer struct {
 	ring  []TraceEntry
 	next  int
@@ -43,7 +44,14 @@ func (t *Tracer) Observe(pc uint32, w isa.Word) bool {
 	if t.inner != nil {
 		ok = t.inner(pc, w)
 	}
-	e := TraceEntry{Seq: t.count, PC: pc, W: w, Rejected: !ok}
+	t.record(pc, w, !ok)
+	return ok
+}
+
+// record appends one retired instruction to the ring; rejected marks the
+// one the monitor alarmed on.
+func (t *Tracer) record(pc uint32, w isa.Word, rejected bool) {
+	e := TraceEntry{Seq: t.count, PC: pc, W: w, Rejected: rejected}
 	t.count++
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
@@ -51,7 +59,6 @@ func (t *Tracer) Observe(pc uint32, w isa.Word) bool {
 		t.ring[t.next] = e
 	}
 	t.next = (t.next + 1) % cap(t.ring)
-	return ok
 }
 
 // Reset clears the ring and the retired counter. The NP's recovery path

@@ -1,11 +1,16 @@
 package mhash
 
 // FastHasher wraps any Hasher with a direct-mapped instruction-hash cache
-// keyed by the 32-bit instruction word itself. The monitor hashes every
-// retired instruction, but the set of distinct instruction words a core
-// executes is tiny (the static words of the installed binary, plus whatever
-// an attack injects), so almost every lookup hits the cache and costs one
-// array read instead of a full compression-tree evaluation.
+// keyed by the 32-bit instruction word itself. It is the cached hasher of
+// the tools and the benchmark: the benchmark replays it as its own layer,
+// and a PackedMonitor built over it hashes through it in Observe. The NP's
+// per-instruction path does not use it: each core keeps its own word cache
+// (cpu.CPU.Attach) that serves a word's validity and hash in one lookup.
+//
+// The set of distinct instruction words a core executes is tiny (the
+// static words of the installed binary, plus whatever an attack injects),
+// so almost every lookup hits the cache and costs one array read instead
+// of a full compression-tree evaluation.
 //
 // Keying matters for security: the cache is indexed by the *instruction
 // word*, never by the program counter. The hash is a pure function of the
@@ -17,10 +22,8 @@ package mhash
 // word-keyed cache hashes what actually retired. The equivalence tests pin
 // this down on the E8 stack-smash payload.
 //
-// FastHasher is a concrete type: the monitor's inner loop calls Hash
-// without interface dispatch. The wrapped Hasher is consulted only on cache
-// misses. The zero allocation guarantee of the packet path includes this
-// type: Hash never allocates.
+// The wrapped Hasher is consulted only on cache misses, and Hash never
+// allocates.
 type FastHasher struct {
 	inner Hasher
 	width int
@@ -62,9 +65,6 @@ func NewFast(inner Hasher, cacheBits int) *FastHasher {
 // NewFastDefault builds a FastHasher with the default cache geometry.
 func NewFastDefault(inner Hasher) *FastHasher { return NewFast(inner, DefaultFastCacheBits) }
 
-// Inner returns the wrapped hash unit.
-func (f *FastHasher) Inner() Hasher { return f.inner }
-
 // Width returns the hash width in bits.
 func (f *FastHasher) Width() int { return f.width }
 
@@ -86,15 +86,6 @@ func (f *FastHasher) Hash(instr uint32) uint8 {
 	h := f.inner.Hash(instr)
 	f.entries[idx] = fastValid | uint64(instr)<<8 | uint64(h)
 	return h
-}
-
-// HitRate returns the fraction of lookups served from the cache.
-func (f *FastHasher) HitRate() float64 {
-	total := f.Hits + f.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(f.Hits) / float64(total)
 }
 
 // Flush invalidates every cache line (used by tests; the hardware analogue

@@ -74,7 +74,7 @@ func TestFastHasherHitRate(t *testing.T) {
 	}
 	// Collisions can evict a few lines, but the steady-state rate must be
 	// high; with 200 words in 4096 lines thrashing is essentially absent.
-	if r := fast.HitRate(); r < 0.95 {
+	if r := float64(fast.Hits) / float64(fast.Hits+fast.Misses); r < 0.95 {
 		t.Fatalf("hit rate %.3f below 0.95 (hits=%d misses=%d)", r, fast.Hits, fast.Misses)
 	}
 }

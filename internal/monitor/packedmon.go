@@ -34,15 +34,13 @@ import (
 // Both steps are semantically identical to Monitor (proved by the
 // equivalence tests and FuzzPackedMonitorEquivalence), observe every
 // retired instruction and never allocate; the NP uses this monitor on the
-// per-instruction path. It is exact, unlike the single-position DFAMonitor
-// ablation. When the hash unit is a *mhash.FastHasher the monitor calls it
-// through a concrete pointer, keeping interface dispatch out of the inner
-// loop.
+// per-instruction path, where the core hands it each word's hash through
+// its port (Step; see cpu.Port). It is exact, unlike the single-position
+// DFAMonitor ablation.
 type PackedMonitor struct {
 	p      *PackedGraph
 	hasher mhash.Hasher
-	fast   *mhash.FastHasher // non-nil when hasher is a FastHasher
-	stride int               // words per node bitmap
+	stride int // words per node bitmap
 
 	// The compiled table; nil when the graph fell back to the bitmap step.
 	table []uint32 // row + hash -> next entry (popcount<<16 | row offset)
@@ -97,9 +95,6 @@ func newPacked(p *PackedGraph, h mhash.Hasher, maxEntries int) (*PackedMonitor, 
 	n := p.Nodes()
 	stride := (n + 63) / 64
 	m := &PackedMonitor{p: p, hasher: h, width: uint(p.Width), stride: stride}
-	if fh, ok := h.(*mhash.FastHasher); ok {
-		m.fast = fh
-	}
 
 	// Decode the node records once (hardware reads them per access; the
 	// software model trades memory for speed) into successor rows.
@@ -284,19 +279,24 @@ func (m *PackedMonitor) Counters() (checked, alarms uint64, maxPositions int) {
 	return m.Checked, m.Alarms, m.MaxPositions
 }
 
-// Observe consumes one retired instruction (cpu.TraceFunc signature). The
+// Observe consumes one retired instruction (cpu.TraceFunc signature): it
+// hashes the word with the monitor's hash unit and steps. The
 // steady-state path performs zero heap allocations.
 func (m *PackedMonitor) Observe(pc uint32, w isa.Word) bool {
 	if m.alarmed {
 		return false
 	}
-	m.Checked++
-	var h uint8
-	if m.fast != nil {
-		h = m.fast.Hash(uint32(w))
-	} else {
-		h = m.hasher.Hash(uint32(w))
+	return m.Step(pc, m.hasher.Hash(uint32(w)))
+}
+
+// Step consumes one retired instruction by its hash h (cpu.Port): one
+// table load and one compare. Once the alarm is asserted every step
+// rejects until Reset.
+func (m *PackedMonitor) Step(pc uint32, h uint8) bool {
+	if m.alarmed {
+		return false
 	}
+	m.Checked++
 	if m.table == nil {
 		return m.step(pc, h)
 	}

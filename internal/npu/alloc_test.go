@@ -130,3 +130,33 @@ func TestDomainDrainAllocsNoWorseThanWholeNP(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainBatchAllocsBelowProcessBatch: a drain reports only the batch's
+// outcome, so it builds no per-packet results slice and copies no output
+// into the arena; it must allocate strictly fewer objects per batch than
+// ProcessBatch running the same packets on the same NP.
+func TestDrainBatchAllocsBelowProcessBatch(t *testing.T) {
+	np := allocNP(t, 2, false)
+	gen := packet.NewGenerator(34)
+	pkts := make([][]byte, 32)
+	for i := range pkts {
+		pkts[i] = gen.Next()
+	}
+	if _, err := np.ProcessBatch(pkts, 0); err != nil {
+		t.Fatal(err)
+	}
+	process := testing.AllocsPerRun(50, func() {
+		if _, err := np.ProcessBatch(pkts, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	drain := testing.AllocsPerRun(50, func() {
+		if _, err := np.DrainBatch(pkts, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/batch: ProcessBatch %.1f, DrainBatch %.1f", process, drain)
+	if drain >= process {
+		t.Fatalf("DrainBatch allocates %.1f objects/batch, ProcessBatch %.1f; want strictly fewer", drain, process)
+	}
+}

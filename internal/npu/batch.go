@@ -34,7 +34,7 @@ import (
 // health sample, say — can run against an NP that a shard worker is
 // draining. Result.Packet slices are only valid until the next batch.
 func (np *NP) ProcessBatch(pkts [][]byte, qdepth int) ([]Result, error) {
-	results, _, _, err := np.processBatch(pkts, qdepth, &np.whole)
+	results, _, _, err := np.processBatch(pkts, qdepth, &np.whole, true)
 	return results, err
 }
 
@@ -42,9 +42,9 @@ func (np *NP) ProcessBatch(pkts [][]byte, qdepth int) ([]Result, error) {
 // merged stat delta of exactly this batch, which is how DrainBatch
 // accounts a batch without a Stats() before/after window that concurrent
 // traffic on the same NP would pollute, and the batch's CE-marked forward
-// count, which must be tallied while batchMu is still held because the
-// results alias the reused arena (a concurrent batch overwrites it the
-// moment the lock is released).
+// count, which each worker tallies while it still holds the packet. With
+// keep false (the drain) it builds no results slice and copies no output
+// into the arena; the first return is then nil.
 //
 // The batch runs on the cores of one view (domain.go): the whole NP or one
 // protection domain. The view's partition must still be current — checked
@@ -53,7 +53,7 @@ func (np *NP) ProcessBatch(pkts [][]byte, qdepth int) ([]Result, error) {
 // count only the view's cores, so a tenant whose domain is fully
 // quarantined sees ErrNoCoreAvailable even while other tenants' cores are
 // healthy.
-func (np *NP) processBatch(pkts [][]byte, qdepth int, view *Domain) ([]Result, Stats, uint64, error) {
+func (np *NP) processBatch(pkts [][]byte, qdepth int, view *Domain, keep bool) ([]Result, Stats, uint64, error) {
 	np.batchMu.Lock()
 	defer np.batchMu.Unlock()
 	if err := view.Err(); err != nil {
@@ -78,36 +78,28 @@ func (np *NP) processBatch(pkts [][]byte, qdepth int, view *Domain) ([]Result, S
 		return nil, Stats{}, 0, ErrNoCoreAvailable
 	}
 
-	results := make([]Result, len(pkts))
-
-	// Arena sizing: output length equals input length, so the per-result
-	// regions are known up front and workers copy into disjoint slices.
-	if len(np.offs) < len(pkts)+1 {
-		np.offs = make([]int, len(pkts)+1)
+	r := &np.run
+	*r = batchRun{pkts: pkts, qdepth: qdepth, offs: r.offs, arena: r.arena, deltas: r.deltas}
+	if keep {
+		r.results = make([]Result, len(pkts))
+		// Arena sizing: output length equals input length, so the
+		// per-result regions are known up front and workers copy into
+		// disjoint slices.
+		if len(r.offs) < len(pkts)+1 {
+			r.offs = make([]int, len(pkts)+1)
+		}
+		r.offs[0] = 0
+		for i, p := range pkts {
+			r.offs[i+1] = r.offs[i] + len(p)
+		}
+		if total := r.offs[len(pkts)]; cap(r.arena) < total {
+			r.arena = make([]byte, total)
+		}
 	}
-	offs := np.offs[:len(pkts)+1]
-	offs[0] = 0
-	for i, p := range pkts {
-		offs[i+1] = offs[i] + len(p)
+	if len(r.deltas) != len(np.slots) {
+		r.deltas = make([]coreDelta, len(np.slots))
 	}
-	total := offs[len(pkts)]
-	if cap(np.arena) < total {
-		np.arena = make([]byte, total)
-	}
-	arena := np.arena[:total]
-
-	if len(np.deltas) != len(np.slots) {
-		np.deltas = make([]Stats, len(np.slots))
-	}
-	deltas := np.deltas
-	for i := range deltas {
-		deltas[i] = Stats{}
-	}
-
-	var cursor atomic.Int64
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
+	clear(r.deltas)
 
 	// Batch latency is measured only when a collector is attached: the
 	// clock reads bracket the fan-out/fan-in, not the per-packet path.
@@ -124,65 +116,92 @@ func (np *NP) processBatch(pkts [][]byte, qdepth int, view *Domain) ([]Result, S
 		if !ok {
 			continue
 		}
-		wg.Add(1)
-		go func(coreID int, slot *coreSlot) {
-			defer wg.Done()
-			d := &deltas[coreID]
-			for {
-				// A core quarantined mid-batch stops claiming packets;
-				// the shared cursor hands the remainder to the other
-				// workers. The slot lock orders this read against
-				// concurrent commits/rollbacks (which may lift a
-				// quarantine) as well as this worker's own writes.
-				slot.mu.Lock()
-				q := slot.sup.quarantined
-				slot.mu.Unlock()
-				if q {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(pkts) {
-					return
-				}
-				res, err := processOnSlot(slot, coreID, pkts[i], qdepth, np.cfg.MonitorsEnabled, d)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				// Copy the aliased core output into this packet's arena
-				// region so every result in the batch stays valid at once.
-				dst := arena[offs[i]:offs[i+1]]
-				copy(dst, res.Packet)
-				res.Packet = dst
-				results[i] = res
-			}
-		}(coreID, slot)
+		r.wg.Add(1)
+		go np.work(r, coreID, slot)
 	}
-	wg.Wait()
+	r.wg.Wait()
 	// Merge per-core deltas unconditionally: packets processed before or
 	// after an errored one stay visible in the aggregate statistics (and in
 	// each core's domain account). The stats mutex is taken once per batch.
-	merged := np.mergeDeltas(deltas)
+	merged, ecnMarked := np.mergeDeltas(r.deltas)
 	if np.batchLat != nil {
 		np.batchLat.Observe(time.Since(batchStart).Seconds())
 	}
 	// Every worker quarantined mid-batch: the unclaimed tail was never
 	// processed. Claimed packets are always processed before the claim
 	// loop re-checks quarantine, so the cursor bounds the loss exactly.
-	if n := int(cursor.Load()); n < len(pkts) && firstErr == nil {
-		firstErr = fmt.Errorf("npu: %d packets unprocessed: %w", len(pkts)-n, ErrNoCoreAvailable)
+	if n := int(r.cursor.Load()); n < len(pkts) && r.err == nil {
+		r.err = fmt.Errorf("npu: %d packets unprocessed: %w", len(pkts)-n, ErrNoCoreAvailable)
 	}
-	// CE-marked forward count, tallied before batchMu is released: the
-	// Packet slices alias the arena, which the next batch reuses.
-	var ecnMarked uint64
-	for i := range results {
-		r := &results[i]
-		if r.Verdict == apps.VerdictForward && !r.Detected && !r.Faulted &&
-			len(r.Packet) > 1 && r.Packet[1]&0x3 == 0x3 {
-			ecnMarked++
+	results, err := r.results, r.err
+	r.pkts, r.results = nil, nil // retain no caller memory past the batch
+	return results, merged, ecnMarked, err
+}
+
+// batchRun is the state one batch's workers share. The NP keeps one and
+// reuses it under batchMu, and its arena, offsets and deltas across
+// batches, so a drain allocates only its workers' goroutines and
+// ProcessBatch adds the results slice.
+type batchRun struct {
+	pkts    [][]byte
+	qdepth  int
+	results []Result // nil for a drain
+	offs    []int    // result i's output is arena[offs[i]:offs[i+1]]
+	arena   []byte
+	deltas  []coreDelta // indexed by core
+	cursor  atomic.Int64
+	errMu   sync.Mutex
+	err     error // the first per-packet error
+	wg      sync.WaitGroup
+}
+
+// work is one core's batch worker: it claims packets from the shared
+// cursor until the batch is exhausted or the core is quarantined.
+func (np *NP) work(r *batchRun, coreID int, slot *coreSlot) {
+	defer r.wg.Done()
+	d := &r.deltas[coreID]
+	for {
+		// A core quarantined mid-batch stops claiming packets; the
+		// shared cursor hands the remainder to the other workers. The
+		// slot lock orders this read against concurrent
+		// commits/rollbacks (which may lift a quarantine) as well as
+		// this worker's own writes.
+		slot.mu.Lock()
+		q := slot.sup.quarantined
+		slot.mu.Unlock()
+		if q {
+			return
+		}
+		i := int(r.cursor.Add(1)) - 1
+		if i >= len(r.pkts) {
+			return
+		}
+		res, err := processOnSlot(slot, coreID, r.pkts[i], r.qdepth, np.cfg.MonitorsEnabled, d)
+		if err != nil {
+			r.errMu.Lock()
+			if r.err == nil {
+				r.err = err
+			}
+			r.errMu.Unlock()
+			continue
+		}
+		if r.results != nil {
+			// Copy the aliased core output into this packet's arena
+			// region so every result in the batch stays valid at once.
+			dst := r.arena[r.offs[i]:r.offs[i+1]]
+			copy(dst, res.Packet)
+			res.Packet = dst
+			r.results[i] = res
 		}
 	}
-	return results, merged, ecnMarked, firstErr
+}
+
+// coreDelta is one core's share of a call: its stat delta, and the
+// CE-marked forwards it counted while it still held each packet's output
+// (a drain keeps no results to count them from afterwards).
+type coreDelta struct {
+	Stats
+	ecnMarked uint64
 }
 
 // add accumulates d into s.
@@ -205,7 +224,7 @@ func (s *Stats) add(d *Stats) {
 // uncontended in steady state; the path still performs zero heap
 // allocations, and the returned Result.Packet aliases the core's output
 // buffer.
-func processOnSlot(slot *coreSlot, coreID int, pkt []byte, qdepth int, monitors bool, stats *Stats) (Result, error) {
+func processOnSlot(slot *coreSlot, coreID int, pkt []byte, qdepth int, monitors bool, stats *coreDelta) (Result, error) {
 	if len(pkt) > apps.MemSize-apps.PktBase {
 		return Result{}, fmt.Errorf("npu: packet length %d exceeds the %d-byte packet memory window",
 			len(pkt), apps.MemSize-apps.PktBase)
@@ -253,6 +272,9 @@ func processOnSlot(slot *coreSlot, coreID int, pkt []byte, qdepth int, monitors 
 		event = true
 	case res.Verdict == apps.VerdictForward:
 		stats.Forwarded++
+		if len(res.Packet) > 1 && res.Packet[1]&0x3 == 0x3 {
+			stats.ecnMarked++
+		}
 	default:
 		stats.Dropped++
 	}

@@ -38,17 +38,16 @@ type BatchOutcome struct {
 // batch's own merged stat delta — not a Stats() before/after window — so
 // concurrent traffic on the same NP (a rollout's health sample batching
 // against a live line card) cannot leak into the shard's accounting. The
-// ECNMarked tally comes from inside the batch engine, while it still holds
-// batchMu: the result Packet slices alias the NP's reused arena, so
-// scanning them here would race a concurrent batch overwriting it.
+// ECNMarked tally is taken by the batch engine's workers while each still
+// holds its packet's output; a drain keeps no per-packet results, so it
+// allocates no results slice and copies no output into the arena.
 func (d *Domain) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
 	return d.DrainBatchRelease(pkts, qdepth, nil)
 }
 
 // DrainBatchRelease is DrainBatch with a buffer-return hook. The batch
-// engine copies every input into core packet memory before executing it
-// and copies every output into the NP's own arena before returning, so
-// once processBatch comes back no reference to the pkts slices survives
+// engine copies every input into core packet memory before executing it,
+// so once processBatch comes back no reference to the pkts slices survives
 // anywhere in the NP. release (if non-nil) is invoked exactly once at
 // that point — after the engine's last read of the inputs, before the
 // outcome is accounted — which is the earliest instant a zero-copy
@@ -56,7 +55,7 @@ func (d *Domain) DrainBatch(pkts [][]byte, qdepth int) (BatchOutcome, error) {
 // waiting for its own accounting to finish. Callers must not touch the
 // buffers from the callback onward on this goroutine's behalf.
 func (d *Domain) DrainBatchRelease(pkts [][]byte, qdepth int, release func()) (BatchOutcome, error) {
-	_, delta, ecnMarked, err := d.np.processBatch(pkts, qdepth, d)
+	_, delta, ecnMarked, err := d.np.processBatch(pkts, qdepth, d, false)
 	if release != nil {
 		release()
 	}

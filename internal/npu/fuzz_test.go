@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"bytes"
 	"testing"
 
 	"sdmmon/internal/apps"
@@ -11,9 +12,10 @@ import (
 )
 
 // fuzzNP builds an NP with ipv4cm and monitors installed, without a
-// *testing.T (fuzz targets construct state under *testing.F).
-func fuzzNP(cores int) (*NP, error) {
-	np, err := New(Config{Cores: cores, MonitorsEnabled: true})
+// *testing.T (fuzz targets construct state under *testing.F); reference
+// selects the map-based reference monitor.
+func fuzzNP(cores int, reference bool) (*NP, error) {
+	np, err := New(Config{Cores: cores, MonitorsEnabled: true, Reference: reference})
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +39,9 @@ func fuzzNP(cores int) (*NP, error) {
 // crafted attack payloads — the data plane must not panic, the statistics
 // must not drift (every accepted packet counted exactly once, conservation
 // preserved), and a monitor alarm must always translate into a drop verdict
-// (the paper's recovery sequence).
+// (the paper's recovery sequence). Every input also runs on a Reference NP
+// that has seen the same inputs, and the fast path must match it: verdict,
+// detection, fault, cycles and output bytes.
 func FuzzProcessPacket(f *testing.F) {
 	gen := packet.NewGenerator(77)
 	gen.OptionWords = 1
@@ -53,7 +57,11 @@ func FuzzProcessPacket(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Add(make([]byte, 20))
 
-	np, err := fuzzNP(1)
+	np, err := fuzzNP(1, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref, err := fuzzNP(1, true)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -61,6 +69,14 @@ func FuzzProcessPacket(f *testing.F) {
 		before := np.Stats()
 		res, err := np.ProcessOn(0, pkt, 0)
 		after := np.Stats()
+		want, refErr := ref.ProcessOn(0, pkt, 0)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("fast path err %v, reference err %v", err, refErr)
+		}
+		if res.Verdict != want.Verdict || res.Detected != want.Detected || res.Faulted != want.Faulted ||
+			res.Cycles != want.Cycles || !bytes.Equal(res.Packet, want.Packet) {
+			t.Fatalf("fast path %+v diverges from reference %+v", res, want)
+		}
 		if err != nil {
 			// Only an oversized packet may be rejected, and a rejected
 			// packet must leave the statistics untouched.

@@ -14,7 +14,6 @@ import (
 	"sdmmon/internal/apps"
 	"sdmmon/internal/asm"
 	"sdmmon/internal/cpu"
-	"sdmmon/internal/isa"
 	"sdmmon/internal/mhash"
 	"sdmmon/internal/monitor"
 	"sdmmon/internal/obs"
@@ -59,7 +58,6 @@ func (s Stats) Conserved() bool { return s.Processed == s.Forwarded+s.Dropped }
 // (Config.Reference). Both are semantically identical — proved by the
 // equivalence tests in internal/monitor and internal/attack.
 type coreMonitor interface {
-	Observe(pc uint32, w isa.Word) bool
 	Reset()
 	Alarmed() bool
 	AlarmPC() uint32
@@ -148,16 +146,14 @@ type Config struct {
 	// retired instructions (with the alarm instruction flagged).
 	TraceDepth int
 	// Reference selects the pre-optimization monitoring path: the
-	// map-based NFA monitor stepping an uncached hash unit. The default
-	// (false) is the allocation-free fast path — flattened PackedMonitor
-	// transitions plus a word-keyed FastHasher. The two are semantically
-	// identical; Reference is the oracle that the benchmark's verdict
-	// check and the equivalence suites compare the fast path against.
+	// map-based NFA monitor stepping an uncached hash unit through the
+	// core's trace hook. The default (false) is the allocation-free fast
+	// path — the compiled PackedMonitor stepped through the core's port,
+	// with hashes from the core's word-keyed cache. The two are
+	// semantically identical; Reference is the oracle that the
+	// benchmark's verdict check and the equivalence suites compare the
+	// fast path against.
 	Reference bool
-	// HashCacheBits sizes the per-core instruction-hash cache as log2 of
-	// the entry count; 0 selects mhash.DefaultFastCacheBits. Ignored when
-	// Reference is set.
-	HashCacheBits int
 	// Supervisor enables the per-core health tracker (quarantine on
 	// persistent alarms/faults, probation after re-install). The zero
 	// value disables it.
@@ -207,16 +203,15 @@ type NP struct {
 	mRollbacks, mAborts              *obs.Counter
 	batchLat                         *obs.Histogram
 
-	// Reused ProcessBatch scratch (see batch.go): packet-copy arena,
-	// per-result offsets, per-core stat deltas. Amortizes batch setup to
-	// zero allocations in steady state. batchMu serializes batch entry so
-	// the scratch is single-owner even when a management-plane caller
-	// (e.g. a rollout's health sample) batches against an NP whose shard
-	// worker is draining it concurrently.
+	// The batch engine's reused state (see batch.go): the workers' shared
+	// cursor and error, packet-copy arena, per-result offsets and per-core
+	// deltas. Amortizes batch setup to the workers' goroutines in steady
+	// state. batchMu serializes batch entry so the state is single-owner
+	// even when a management-plane caller (e.g. a rollout's health sample)
+	// batches against an NP whose shard worker is draining it
+	// concurrently.
 	batchMu sync.Mutex
-	arena   []byte
-	offs    []int
-	deltas  []Stats
+	run     batchRun
 }
 
 // New builds an NP.
@@ -319,19 +314,22 @@ func (np *NP) mergeStats(d *Stats, coreID int) {
 
 // mergeDeltas folds the batch engine's per-core deltas into the aggregate
 // and each core's domain account in one stats-mutex acquisition, then
-// mirrors the merged delta into the telemetry counters. Returns the merge.
-func (np *NP) mergeDeltas(deltas []Stats) Stats {
+// mirrors the merged delta into the telemetry counters. Returns the merge
+// and the cores' summed CE-marked forwards.
+func (np *NP) mergeDeltas(deltas []coreDelta) (Stats, uint64) {
 	var merged Stats
+	var ecnMarked uint64
 	np.statsMu.Lock()
 	p := np.domains.Load()
 	for i := range deltas {
-		merged.add(&deltas[i])
-		p.stats[p.slotDomain[i]].add(&deltas[i])
+		merged.add(&deltas[i].Stats)
+		p.stats[p.slotDomain[i]].add(&deltas[i].Stats)
+		ecnMarked += deltas[i].ecnMarked
 	}
 	np.stats.add(&merged)
 	np.statsMu.Unlock()
 	np.mirrorStats(&merged)
-	return merged
+	return merged, ecnMarked
 }
 
 // mirrorStats mirrors a delta into the obs counters (nil-safe).
@@ -347,7 +345,8 @@ func (np *NP) mirrorStats(d *Stats) {
 
 // prepare builds a complete installation image from a verified bundle:
 // deserialize binary and graph, build the hash unit, run the graph/binary
-// self-check, compile the monitor, and wire the trace chain. It touches no
+// self-check, compile the monitor, and attach it (and the forensic ring)
+// to the core. It touches no
 // slot — callers decide whether the image becomes live immediately (Install)
 // or waits in a shadow slot (StageInstall).
 func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*preparedApp, error) {
@@ -366,44 +365,45 @@ func (np *NP) prepare(name string, binary, graph []byte, param uint32) (*prepare
 	if err := g.Validate(prog, hasher); err != nil {
 		return nil, fmt.Errorf("npu: graph/binary mismatch: %w", err)
 	}
-	var mon coreMonitor
+	p := &preparedApp{core: apps.NewCore(prog), hasher: hasher, appName: name, param: param}
+	var trace cpu.TraceFunc
+	var port cpu.Port
 	if np.cfg.Reference {
 		// Pre-optimization reference: map-based NFA monitor, uncached
-		// hash unit.
+		// hash unit, attached through the trace hook.
 		m, err := monitor.New(g, hasher)
 		if err != nil {
 			return nil, fmt.Errorf("npu: %w", err)
 		}
-		mon = m
+		p.mon, trace = m, m.Observe
 	} else {
-		// The per-instruction fast path: packed hardware-layout monitor
-		// compiled to flat transition arrays, fed by a word-keyed
-		// instruction-hash cache with concrete (non-interface) dispatch.
+		// The per-instruction fast path: the packed hardware-layout
+		// monitor compiled to a transition table, stepped through the
+		// core's port with hashes from the core's word cache.
 		packed, err := monitor.Pack(g)
 		if err != nil {
 			return nil, fmt.Errorf("npu: %w", err)
 		}
-		cacheBits := np.cfg.HashCacheBits
-		if cacheBits == 0 {
-			cacheBits = mhash.DefaultFastCacheBits
-		}
-		m, err := monitor.NewPacked(packed, mhash.NewFast(hasher, cacheBits))
+		m, err := monitor.NewPacked(packed, hasher)
 		if err != nil {
 			return nil, fmt.Errorf("npu: %w", err)
 		}
-		mon = m
+		p.mon, port = m, m
 	}
-	p := &preparedApp{core: apps.NewCore(prog), mon: mon, hasher: hasher,
-		appName: name, param: param}
-	var trace cpu.TraceFunc
-	if np.cfg.MonitorsEnabled {
-		trace = mon.Observe
+	if !np.cfg.MonitorsEnabled {
+		trace, port = nil, nil
 	}
 	if np.cfg.TraceDepth > 0 {
 		p.tracer = cpu.NewTracer(np.cfg.TraceDepth, trace)
-		trace = p.tracer.Observe
 	}
-	p.core.Trace = trace
+	switch {
+	case port != nil:
+		p.core.CPU().Attach(port, hasher, p.tracer)
+	case p.tracer != nil:
+		p.core.Trace = p.tracer.Observe
+	default:
+		p.core.Trace = trace
+	}
 	return p, nil
 }
 
@@ -547,12 +547,12 @@ func (np *NP) ProcessOn(coreID int, pkt []byte, qdepth int) (Result, error) {
 	// Accumulate into a stack-local delta and fold it in under the stats
 	// mutex: Stats() readers and ProcessOn calls on other cores never race
 	// on the aggregate, and the packet path stays allocation-free.
-	var d Stats
+	var d coreDelta
 	res, err := processOnSlot(np.slots[coreID], coreID, pkt, qdepth, np.cfg.MonitorsEnabled, &d)
 	if err != nil {
 		return res, err
 	}
-	np.mergeStats(&d, coreID)
+	np.mergeStats(&d.Stats, coreID)
 	return res, nil
 }
 

@@ -1,11 +1,13 @@
 package npu
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"sdmmon/internal/apps"
 	"sdmmon/internal/attack"
+	"sdmmon/internal/cpu"
 	"sdmmon/internal/isa"
 	"sdmmon/internal/packet"
 )
@@ -95,5 +97,61 @@ func TestStackSmashRecoveryResetsAllState(t *testing.T) {
 	s := np.Stats()
 	if s.Alarms != 1 || s.Forwarded != 1 || !s.Conserved() {
 		t.Fatalf("recovery accounting wrong: %+v", s)
+	}
+}
+
+// TestForensicRingThroughPortE8: with a forensic ring the fast path still
+// attaches the monitor through the core's port — no trace-hook fallback —
+// and the ring records every instruction the monitor checked, flagging
+// exactly the one it alarmed on. The ring matches a Reference NP's
+// (monitor behind the trace hook) entry for entry.
+func TestForensicRingThroughPortE8(t *testing.T) {
+	smash := attack.DefaultSmash()
+	code, err := smash.HijackPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := smash.CraftPacket(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const depth = 4096
+	rings := make([][]cpu.TraceEntry, 2)
+	for i, reference := range []bool{false, true} {
+		np, err := New(Config{Cores: 1, MonitorsEnabled: true, TraceDepth: depth, Reference: reference})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, g := makeBundle(t, apps.IPv4CM(), 0xFACE)
+		if err := np.InstallAll("ipv4cm", bin, g, 0xFACE); err != nil {
+			t.Fatal(err)
+		}
+		slot := np.slots[0]
+		if !reference && slot.core.Trace != nil {
+			t.Fatal("fast path attached the monitor through the trace hook")
+		}
+		res, err := np.ProcessOn(0, atk, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Detected {
+			t.Fatalf("reference=%v: stack smash not detected: %+v", reference, res)
+		}
+		checked, _, _ := slot.mon.Counters()
+		ring := slot.tracer.Last(depth)
+		if uint64(len(ring)) != checked || slot.tracer.Retired() != checked {
+			t.Fatalf("reference=%v: ring holds %d of %d entries, monitor checked %d",
+				reference, len(ring), slot.tracer.Retired(), checked)
+		}
+		for k, e := range ring {
+			last := k == len(ring)-1
+			if e.Rejected != last || (last && e.PC != slot.mon.AlarmPC()) {
+				t.Fatalf("reference=%v: entry %d/%d %+v, alarm pc %#x", reference, k, len(ring), e, slot.mon.AlarmPC())
+			}
+		}
+		rings[i] = ring
+	}
+	if !slices.Equal(rings[0], rings[1]) {
+		t.Fatal("fast-path ring differs from the reference ring")
 	}
 }
